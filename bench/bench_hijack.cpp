@@ -177,9 +177,9 @@ int main(int argc, char** argv) {
         // Data-plane realization of the same tussle: install the converged
         // (possibly hijacked) forwarding state on a real Network — one node
         // per AS, one link per graph edge — and let probe packets vote with
-        // their feet. This is the case the scale profiler measures: each AS
-        // is a provisional PDES shard, the inter-AS links carry its
-        // lookahead, and probe fan-in is its cross-shard traffic.
+        // their feet. This is the sharded backend's showcase case: each AS
+        // is a logical process, the inter-AS links set its lookahead, and
+        // probe fan-in is its cross-shard traffic.
         core::ScenarioSpec capture;
         capture.name = "data-plane-capture";
         capture.description = "probe packets routed under hijacked vs validated FIBs";

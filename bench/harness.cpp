@@ -1,5 +1,6 @@
 #include "harness.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,9 +31,6 @@ struct Flags {
   std::string dashboard_path;
   bool audit = false;
   std::string audit_json_path;
-  bool scale = false;
-  std::string scale_json_path;
-  std::string scale_dashboard_path;
   bool exec = false;
   std::string exec_json_path;
   std::string exec_trace_path;
@@ -59,8 +57,7 @@ void usage(const char* argv0) {
                "          [--span-tree <path>|-] [--explain <flow-id>]\n"
                "          [--timeseries <seconds>] [--ts-csv <path>]\n"
                "          [--ts-json <path>] [--dashboard <path>]\n"
-               "          [--audit] [--audit-json <path>] [--scale-profile]\n"
-               "          [--scale-json <path>] [--scale-dashboard <path>]\n"
+               "          [--audit] [--audit-json <path>]\n"
                "          [--exec-profile] [--exec-json <path>]\n"
                "          [--exec-trace <path>] [--exec-dashboard <path>]\n"
                "          [--mem-profile] [--mem-json <path>]\n"
@@ -74,6 +71,13 @@ std::optional<sim::TraceLevel> parse_level(const std::string& s) {
   if (s == "warn") return sim::TraceLevel::kWarn;
   if (s == "error") return sim::TraceLevel::kError;
   return std::nullopt;
+}
+
+/// A strictly positive, finite number of seconds, or nullopt.
+std::optional<double> parse_seconds(const char* s) {
+  const auto v = parse_number<double>(s);
+  if (!v || !std::isfinite(*v) || *v <= 0) return std::nullopt;
+  return v;
 }
 
 std::optional<Flags> parse_flags(int argc, char** argv) {
@@ -106,12 +110,14 @@ std::optional<Flags> parse_flags(int argc, char** argv) {
     } else if (arg == "--explain") {
       const char* v = next();
       if (!v) return std::nullopt;
-      f.explain_flow = std::strtoull(v, nullptr, 10);
+      f.explain_flow = parse_number<std::uint64_t>(v);
+      if (!f.explain_flow) return std::nullopt;
     } else if (arg == "--timeseries") {
       const char* v = next();
       if (!v) return std::nullopt;
-      f.timeseries_seconds = std::atof(v);
-      if (f.timeseries_seconds <= 0) return std::nullopt;
+      const auto s = parse_seconds(v);
+      if (!s) return std::nullopt;
+      f.timeseries_seconds = *s;
     } else if (arg == "--ts-csv") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -131,18 +137,6 @@ std::optional<Flags> parse_flags(int argc, char** argv) {
       if (!v) return std::nullopt;
       f.audit_json_path = v;
       f.audit = true;
-    } else if (arg == "--scale-profile") {
-      f.scale = true;
-    } else if (arg == "--scale-json") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.scale_json_path = v;
-      f.scale = true;
-    } else if (arg == "--scale-dashboard") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.scale_dashboard_path = v;
-      f.scale = true;
     } else if (arg == "--exec-profile") {
       f.exec = true;
     } else if (arg == "--exec-json") {
@@ -177,8 +171,9 @@ std::optional<Flags> parse_flags(int argc, char** argv) {
     } else if (arg == "--heartbeat") {
       const char* v = next();
       if (!v) return std::nullopt;
-      f.heartbeat_seconds = std::atof(v);
-      if (f.heartbeat_seconds <= 0) return std::nullopt;
+      const auto s = parse_seconds(v);
+      if (!s) return std::nullopt;
+      f.heartbeat_seconds = *s;
     } else if (arg == "--list") {
       f.list = true;
     } else if (arg == "--case") {
@@ -188,25 +183,23 @@ std::optional<Flags> parse_flags(int argc, char** argv) {
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return std::nullopt;
-      f.seed = std::strtoull(v, nullptr, 10);
+      f.seed = parse_number<std::uint64_t>(v);
+      if (!f.seed) return std::nullopt;
     } else if (arg == "--jobs") {
       const char* v = next();
       if (!v) return std::nullopt;
-      const long n = std::atol(v);
-      if (n <= 0) return std::nullopt;
-      f.jobs = static_cast<std::size_t>(n);
+      f.jobs = parse_number<std::size_t>(v);
+      if (!f.jobs || *f.jobs == 0) return std::nullopt;
     } else if (arg == "--replicas") {
       const char* v = next();
       if (!v) return std::nullopt;
-      const long n = std::atol(v);
-      if (n < 0) return std::nullopt;
-      f.replicas = static_cast<std::size_t>(n);
+      f.replicas = parse_number<std::size_t>(v);
+      if (!f.replicas) return std::nullopt;
     } else if (arg == "--shards") {
       const char* v = next();
       if (!v) return std::nullopt;
-      const long n = std::atol(v);
-      if (n < 0) return std::nullopt;
-      f.shards = static_cast<std::size_t>(n);
+      f.shards = parse_number<std::size_t>(v);
+      if (!f.shards) return std::nullopt;
     } else {
       return std::nullopt;
     }
@@ -265,7 +258,6 @@ core::SweepResult Harness::scenario(const core::ScenarioSpec& spec, const Render
   opts.heartbeat_seconds = heartbeat_seconds_;
   opts.timeseries_seconds = timeseries_seconds_;
   opts.audit = audit_requested_;
-  opts.scale = scale_requested_;
   opts.exec = exec_requested_;
   opts.mem = mem_requested_;
   // Trace/span collection assumes the serial backend's single dispatch
@@ -282,7 +274,6 @@ core::SweepResult Harness::scenario(const core::ScenarioSpec& spec, const Render
     // archive (and every export derived from it) is schedule-independent.
     if (r.spans) spans_.merge(*r.spans);
     if (r.audit) audit_.merge(*r.audit);
-    if (r.scale) scale_.merge(*r.scale);
     if (r.exec) exec_.merge(*r.exec);
     if (r.mem) mem_.merge(*r.mem);
     if (r.timeseries && !r.timeseries->store().empty()) {
@@ -326,7 +317,6 @@ int run(int argc, char** argv, const Experiment& exp,
   if (const char* env = std::getenv("TUSSLE_AUDIT")) {
     if (*env != '\0' && std::string(env) != "0") h.audit_requested_ = true;
   }
-  h.scale_requested_ = flags->scale;
   h.exec_requested_ = flags->exec;
   h.mem_requested_ = flags->mem;
   h.spans_requested_ = !flags->chrome_trace_path.empty() || !flags->span_tree_path.empty() ||
@@ -486,48 +476,6 @@ int run(int argc, char** argv, const Experiment& exp,
     if (!h.audit_.violations().empty()) {
       std::fprintf(stderr, "%s\n", h.audit_.describe(h.audit_.violations().front()).c_str());
       return 1;
-    }
-  }
-
-  if (h.scale_requested_) {
-    std::size_t real_shards = 0;
-    for (const auto& [shard, n] : h.scale_.shard_events()) {
-      (void)n;
-      if (shard != sim::kNoShard && shard != sim::kSharedShard) ++real_shards;
-    }
-    std::printf("scale profile: %llu events over %llu runs, critical path %llu "
-                "(work/span %.1f), %zu shards, imbalance %.2f, cross-shard %llu, "
-                "speedup(k=8) %.2f\n",
-                static_cast<unsigned long long>(h.scale_.work()),
-                static_cast<unsigned long long>(h.scale_.runs()),
-                static_cast<unsigned long long>(h.scale_.critical_path_length()),
-                h.scale_.work_span_ratio(), real_shards, h.scale_.imbalance_ratio(),
-                static_cast<unsigned long long>(h.scale_.cross_shard_events()),
-                h.scale_.speedup_at(8));
-    if (!flags->scale_json_path.empty()) {
-      sim::JsonWriter w;
-      w.begin_object();
-      w.key("experiment").begin_object();
-      w.key("id").value(exp.id);
-      w.key("section").value(exp.section);
-      w.end_object();
-      w.key("scale").raw(h.scale_.report_json());
-      w.end_object();
-      std::ofstream os(flags->scale_json_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n", flags->scale_json_path.c_str());
-        return 2;
-      }
-      os << w.str() << "\n";
-    }
-    if (!flags->scale_dashboard_path.empty()) {
-      std::ofstream os(flags->scale_dashboard_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n",
-                     flags->scale_dashboard_path.c_str());
-        return 2;
-      }
-      os << sim::scale_dashboard(h.scale_, exp.id + " \xc2\xb7 " + exp.section);
     }
   }
 

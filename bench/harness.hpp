@@ -44,16 +44,6 @@
 //                       causal report. TUSSLE_AUDIT=1 does the same.
 //   --audit-json <p>    also write the merged shard-audit report as JSON
 //                       (implies --audit)
-//   --scale-profile     run every simulator under the PDES-readiness scale
-//                       profiler (sim/scale_profile.hpp): per-shard load,
-//                       cross-shard traffic, critical path, queue/memory
-//                       churn, predicted barrier-round speedup. Attaches a
-//                       fail-soft auditor for shard attribution when
-//                       --audit was not also given.
-//   --scale-json <p>    write the merged scale report as JSON (implies
-//                       --scale-profile); byte-identical at any --jobs
-//   --scale-dashboard <p>  write the scale report as a self-contained HTML
-//                       dashboard (implies --scale-profile)
 //   --exec-profile      run every simulator under the execution profiler
 //                       (sim/exec_profile.hpp): wall-clock barrier-window
 //                       and per-worker dispatch/drain/barrier timings,
@@ -85,9 +75,10 @@
 // state (queues, RNG streams, counter lanes) is keyed by owner and merged
 // in owner order, never by worker. Sharded (k >= 1) and serial (k = 0)
 // runs use different event interleavings and id namespaces, so their
-// outputs are each internally stable but not comparable to each other. --trace and --heartbeat force --jobs 1: both write
-// to shared sinks mid-run. --profile, the span flags, and the time-series
-// flags do not — each run profiles/records into its own
+// outputs are each internally stable but not comparable to each other.
+// --trace and --heartbeat force --jobs 1: both write to shared sinks
+// mid-run. --profile, the span flags, and the time-series flags do not —
+// each run profiles/records into its own
 // LoopProfiler/SpanTracer/TimeSeriesRecorder and the harness merges them
 // in run order, so those exports too are --jobs-independent.
 #pragma once
@@ -155,13 +146,6 @@ class Harness {
   /// True when --audit/--audit-json or TUSSLE_AUDIT=1 asked for auditing.
   bool audit_requested() const noexcept { return audit_requested_; }
 
-  /// The merged scale profile across every profiled run (run-index order);
-  /// empty unless a --scale flag was given. Like the auditor, scenario
-  /// bodies opt in via ctx.instrument(sim).
-  sim::ScaleProfiler& scale() noexcept { return scale_; }
-  /// True when --scale-profile/--scale-json/--scale-dashboard was given.
-  bool scale_requested() const noexcept { return scale_requested_; }
-
   /// The merged execution (wall-clock) profile across every profiled run
   /// (run-index order); empty unless an --exec flag was given. Scenario
   /// bodies opt in via ctx.instrument(sim). Exec reports are exempt from
@@ -207,13 +191,11 @@ class Harness {
   sim::SpanTracer spans_;
   sim::TimeSeriesStore timeseries_;
   sim::ShardAuditor audit_;
-  sim::ScaleProfiler scale_;
   sim::ExecProfiler exec_;
   sim::MemProfiler mem_;
   double timeseries_seconds_ = 0;  ///< 0 = no recorders
   bool spans_requested_ = false;
   bool audit_requested_ = false;
-  bool scale_requested_ = false;
   bool exec_requested_ = false;
   bool mem_requested_ = false;
   std::vector<Case> cases_;

@@ -10,11 +10,10 @@ namespace {
 /// non-numeric, zero, and negative all mean "not configured").
 std::optional<std::uint64_t> env_positive(const char* name) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || n == 0) return std::nullopt;
-  return static_cast<std::uint64_t>(n);
+  if (v == nullptr) return std::nullopt;
+  const auto n = parse_number<std::uint64_t>(v);
+  if (!n || *n == 0) return std::nullopt;
+  return n;
 }
 
 }  // namespace

@@ -16,10 +16,26 @@
 // auto-sized pool oversubscribe the machine.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
+#include <string_view>
+#include <system_error>
 
 namespace tussle::bench {
+
+/// Parses the whole of `s` as a T: nullopt when it is empty, has leading
+/// space or a '+', has trailing characters, or is out of T's range (a '-'
+/// never parses as an unsigned T). The one parser behind every numeric
+/// flag and environment knob, so `--jobs 4x` fails instead of running 4.
+template <typename T>
+std::optional<T> parse_number(std::string_view s) {
+  T v{};
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc{} || end != last) return std::nullopt;
+  return v;
+}
 
 struct ParallelOptions {
   std::uint64_t seed = 1;

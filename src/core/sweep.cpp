@@ -111,7 +111,6 @@ void RunContext::instrument(sim::Simulator& sim) {
     audit_->set_span_tracer(spans_);  // violation reports carry the span, if any
     sim.set_auditor(audit_);
   }
-  if (scale_ != nullptr) sim.set_scale_profiler(scale_);
   if (exec_ != nullptr) sim.set_exec_profiler(exec_);
   if (mem_ != nullptr) {
     sim.set_mem_profiler(mem_);
@@ -272,17 +271,6 @@ SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts) {
         if (opts.audit) {
           slot.audit = std::make_unique<sim::ShardAuditor>();
           ctx.audit_ = slot.audit.get();
-        }
-        if (opts.scale) {
-          slot.scale = std::make_unique<sim::ScaleProfiler>();
-          ctx.scale_ = slot.scale.get();
-          if (!slot.audit) {
-            // Shard attribution rides the auditor's component registry;
-            // fail-soft so profiling never turns into policing.
-            slot.audit = std::make_unique<sim::ShardAuditor>();
-            slot.audit->set_fail_fast(false);
-            ctx.audit_ = slot.audit.get();
-          }
         }
         if (opts.exec) {
           slot.exec = std::make_unique<sim::ExecProfiler>();

@@ -30,7 +30,6 @@
 #include "sim/mem_profile.hpp"
 #include "sim/profiler.hpp"
 #include "sim/random.hpp"
-#include "sim/scale_profile.hpp"
 #include "sim/shard_audit.hpp"
 #include "sim/span.hpp"
 #include "sim/stats.hpp"
@@ -144,13 +143,6 @@ class RunContext {
   /// audits into its own instance, merged in run-index order.
   sim::ShardAuditor* audit() noexcept { return audit_; }
 
-  /// This run's scale profiler, or nullptr unless SweepOptions::scale was
-  /// set. instrument() attaches it to the simulator (together with an
-  /// auto-created, fail-soft auditor when --audit was not also requested,
-  /// so shard attribution always works). Each run profiles into its own
-  /// instance, merged in run-index order.
-  sim::ScaleProfiler* scale() noexcept { return scale_; }
-
   /// This run's execution profiler, or nullptr unless SweepOptions::exec
   /// was set. instrument() attaches it to the simulator; the backends then
   /// record wall-clock barrier/worker timings into it. Wall-clock data:
@@ -161,7 +153,7 @@ class RunContext {
 
   /// This run's memory profiler, or nullptr unless SweepOptions::mem was
   /// set. instrument() attaches it to the simulator (plus a fail-soft
-  /// auditor when neither --audit nor --scale created one, so per-shard
+  /// auditor when --audit did not create one, so per-shard
   /// footprint attribution always works) and registers live-bytes /
   /// queue-depth gauges on the run's TimeSeriesRecorder when one exists.
   /// Each run profiles into its own instance, merged in run-index order —
@@ -185,7 +177,6 @@ class RunContext {
   sim::SpanTracer* spans_ = nullptr;
   sim::TimeSeriesRecorder* timeseries_ = nullptr;
   sim::ShardAuditor* audit_ = nullptr;
-  sim::ScaleProfiler* scale_ = nullptr;
   sim::ExecProfiler* exec_ = nullptr;
   sim::MemProfiler* mem_ = nullptr;
 };
@@ -225,10 +216,6 @@ struct SweepOptions {
   /// afterwards in run-index order). Fail-fast: a cross-shard mutation
   /// throws out of the offending run with a causal report.
   bool audit = false;
-  /// Give each run its own ScaleProfiler via RunContext::scale() (merged
-  /// afterwards in run-index order). Implies a fail-soft ShardAuditor when
-  /// audit is off, since shard attribution rides the auditor's registry.
-  bool scale = false;
   /// Give each run its own ExecProfiler via RunContext::exec() (merged
   /// afterwards in run-index order). Wall-clock runtime observability —
   /// the merged aggregates are exempt from the byte-identity contract.
@@ -236,7 +223,7 @@ struct SweepOptions {
   /// Give each run its own MemProfiler via RunContext::mem() (merged
   /// afterwards in run-index order; sim-deterministic, so merged exports
   /// are byte-identical at any --jobs and --shards). Implies a fail-soft
-  /// ShardAuditor when audit/scale did not create one.
+  /// ShardAuditor when audit is off.
   bool mem = false;
   /// In-run parallelism: when > 0, RunContext::instrument() installs a
   /// sim::ShardedBackend with this many worker threads on the run's
@@ -262,11 +249,9 @@ struct RunResult {
   std::unique_ptr<sim::SpanTracer> spans;
   /// Per-run time series; null unless SweepOptions::timeseries_seconds > 0.
   std::unique_ptr<sim::TimeSeriesRecorder> timeseries;
-  /// Per-run shard audit; null unless SweepOptions::audit or ::scale was
-  /// set (scale auto-creates a fail-soft one for shard attribution).
+  /// Per-run shard audit; null unless SweepOptions::audit or ::mem was
+  /// set (mem auto-creates a fail-soft one for shard attribution).
   std::unique_ptr<sim::ShardAuditor> audit;
-  /// Per-run scale profile; null unless SweepOptions::scale was set.
-  std::unique_ptr<sim::ScaleProfiler> scale;
   /// Per-run execution (wall-clock) profile; null unless
   /// SweepOptions::exec was set.
   std::unique_ptr<sim::ExecProfiler> exec;

@@ -5,7 +5,6 @@
 
 #include "sim/exec_backend.hpp"
 #include "sim/mem_profile.hpp"
-#include "sim/scale_profile.hpp"
 #include "sim/shard_audit.hpp"
 
 namespace tussle::sim {
@@ -244,7 +243,7 @@ NodeId Network::add_node(AsId as) {
   // logical process (a no-op on the serial backend).
   sim_->register_owner(static_cast<sim::ShardId>(as));
   if (auto* au = auditor()) au->register_component("net.node", id, as);
-  sim::profile_actor(scale_profiler(), mem_profiler(), "net.node", sizeof(Node));
+  if (auto* mp = mem_profiler()) mp->register_actor("net.node", sizeof(Node));
   return id;
 }
 
@@ -262,12 +261,7 @@ Link& Network::connect(NodeId a, NodeId b, double bits_per_second, sim::Duration
   sim_->register_lookahead(static_cast<sim::ShardId>(node(a).as()),
                            static_cast<sim::ShardId>(node(b).as()), propagation);
   if (auto* au = auditor()) au->register_component("net.link", id, link_shard(*this, a, b));
-  sim::profile_actor(scale_profiler(), mem_profiler(), "net.link", sizeof(Link));
-  if (auto* sp = scale_profiler()) {
-    // Cross-AS propagation delays are the PDES lookahead; same-AS pairs are
-    // ignored by register_link.
-    sp->register_link(node(a).as(), node(b).as(), propagation);
-  }
+  if (auto* mp = mem_profiler()) mp->register_actor("net.link", sizeof(Link));
   return *links_.back();
 }
 

@@ -155,12 +155,6 @@ class Network {
   /// mutation — the same contract as spans().
   sim::ShardAuditor* auditor() const noexcept { return sim_->auditor(); }
 
-  /// Scale profiler, read through the owning simulator like the auditor.
-  /// add_node/connect register actors and lookahead links with it, and
-  /// Node::originate counts packet churn. Null (the default) costs one
-  /// pointer load + branch per registration point.
-  sim::ScaleProfiler* scale_profiler() const noexcept { return sim_->scale_profiler(); }
-
   /// Memory profiler, read through the owning simulator like the auditor.
   /// add_node/connect register actor footprints, the data plane records
   /// packet birth/death lifetimes, drop sites, link-queue occupancy, and

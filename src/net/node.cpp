@@ -4,7 +4,6 @@
 
 #include "net/network.hpp"
 #include "sim/mem_profile.hpp"
-#include "sim/scale_profile.hpp"
 #include "sim/shard_audit.hpp"
 
 namespace tussle::net {
@@ -120,9 +119,6 @@ void Node::originate(Packet p) {
   p.uid = net_->packet_ids().next();
   p.sent_at_s = net_->simulator().now().as_seconds();
   net_->counters().originated.add();
-  if (auto* sp = net_->scale_profiler()) {
-    sp->count_alloc("net.packet", sizeof(Packet) + p.size_bytes);
-  }
   if (auto* mp = net_->mem_profiler()) {
     // Birth of the packet's one identity: encapsulation and mirroring keep
     // the uid, so the lifetime closes exactly once, at deliver or drop.

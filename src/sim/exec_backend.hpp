@@ -17,7 +17,7 @@
 //
 //  * ExecCtx — the per-thread execution context. Under the sharded
 //    backend every worker event runs with a context installed; Simulator
-//    accessors (now(), rng(), auditor(), scale_profiler()) resolve
+//    accessors (now(), rng(), auditor(), mem_profiler()) resolve
 //    through it so component code is backend-agnostic. Serial execution
 //    never installs one, so the serial hot path pays a single
 //    thread-local load per accessor call.
@@ -42,7 +42,6 @@ namespace tussle::sim {
 
 class Simulator;
 class LoopProfiler;
-class ScaleProfiler;
 class ExecProfiler;
 class MemProfiler;
 class Rng;
@@ -57,14 +56,13 @@ struct ExecCtx {
   SimTime now{};
   Rng* rng = nullptr;               ///< stream to serve Simulator::rng()
   ShardAuditor* auditor = nullptr;  ///< lane to serve Simulator::auditor()
-  ScaleProfiler* scale = nullptr;   ///< lane to serve Simulator::scale_profiler()
   MemProfiler* mem = nullptr;       ///< lane to serve Simulator::mem_profiler()
   ShardId owner = kNoShard;
   bool control = false;  ///< true while a barrier-phase control event runs
 };
 
 namespace detail {
-extern thread_local ExecCtx* t_exec_ctx;
+extern constinit thread_local ExecCtx* t_exec_ctx;
 void set_exec_ctx(ExecCtx* ctx) noexcept;
 }  // namespace detail
 
@@ -123,7 +121,7 @@ class ExecutionBackend {
   virtual bool step() = 0;
 
   /// The Simulator re-attached or detached observability hooks
-  /// (profiler/auditor/scale/mem); backends refresh derived state (tag
+  /// (profiler/auditor/mem); backends refresh derived state (tag
   /// recording on their queues).
   virtual void on_hooks_changed() {}
 
@@ -151,7 +149,6 @@ class ExecutionBackend {
   bool hooks_record_tags() const noexcept;
   LoopProfiler* profiler_hook() const noexcept;
   ShardAuditor* auditor_hook() const noexcept;
-  ScaleProfiler* scale_hook() const noexcept;
   ExecProfiler* exec_hook() const noexcept;
   MemProfiler* mem_hook() const noexcept;
   /// Heartbeat support for non-serial backends: true when a heartbeat is
@@ -167,9 +164,9 @@ class ExecutionBackend {
   Simulator* sim_;
 };
 
-/// Today's dispatch loop: one global (time, sequence) order, support for
-/// the loop profiler, heartbeat, auditor, and scale profiler exactly as
-/// the pre-split Simulator ran them.
+/// Today's dispatch loop: one global (time, sequence) order exactly as the
+/// pre-split Simulator ran it, with the loop profiler, heartbeat, auditor
+/// and mem profiler hooks.
 class SerialBackend final : public ExecutionBackend {
  public:
   explicit SerialBackend(Simulator& sim) noexcept : ExecutionBackend(sim) {}

@@ -1,11 +1,11 @@
 #include "sim/exec_profile.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 
 #include "sim/json.hpp"
 #include "sim/profiler.hpp"
+#include "sim/report_kit.hpp"
 
 namespace tussle::sim {
 
@@ -17,16 +17,16 @@ std::string owner_label(ShardId s) {
   return std::to_string(s);
 }
 
-/// Same bucketing as the ScaleProfiler's depth/queue histograms: bucket b
-/// covers [2^(b-1), 2^b - 1], bucket 0 = zero.
-std::uint32_t log2_bucket(std::uint64_t v) {
-  return static_cast<std::uint32_t>(std::bit_width(v));
-}
+using report_kit::fmt2;
+using report_kit::fmt_compact;
+using report_kit::html_escape;
+using report_kit::log2_bucket;
+using report_kit::open_card;
 
-/// The ScaleProfiler's virtual-barrier window cost, replayed over measured
-/// per-owner loads: owners ordered by (events desc, id asc) are greedily
-/// packed onto k virtual shards (LPT); the window costs the slowest shard,
-/// plus any events not attributed to an owner, which run serially.
+/// The virtual-barrier window cost over measured per-owner loads: owners
+/// ordered by (events desc, id asc) are greedily packed onto k virtual
+/// shards (LPT); the window costs the slowest shard, plus any events not
+/// attributed to an owner, which run serially.
 std::uint64_t lpt_window_cost(const std::map<ShardId, std::uint64_t>& owner_events,
                               std::uint64_t window_events, std::size_t k) {
   std::uint64_t owned = 0;
@@ -526,53 +526,6 @@ std::string exec_chrome_trace(const ExecProfiler& ep) {
 }
 
 // --------------------------------------------------------------- dashboard --
-
-namespace {
-
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// Fixed two decimals so SVG output is platform-stable.
-std::string fmt2(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
-}
-
-std::string fmt_compact(double v) {
-  char buf[48];
-  if (v == 0) return "0";
-  const double a = v < 0 ? -v : v;
-  if (a >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.1fM", v / 1e6);
-  } else if (a >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.1fk", v / 1e3);
-  } else if (a >= 10 || a == static_cast<double>(static_cast<std::int64_t>(a))) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2f", v);
-  }
-  return buf;
-}
-
-void open_card(std::string& out, const std::string& heading, const std::string& note) {
-  out += "<div class=\"card\">\n<h2>" + html_escape(heading) + "</h2>\n";
-  if (!note.empty()) out += "<p class=\"stats\">" + note + "</p>\n";
-}
-
-}  // namespace
 
 std::string exec_dashboard(const ExecProfiler& ep, const std::string& title) {
   std::string out;

@@ -1,9 +1,7 @@
 // Execution profiler: wall-clock observability for the runtime itself.
 //
-// The ScaleProfiler (sim/scale_profile.hpp) *predicts* barrier-window PDES
-// speedup from event counts on the serial engine; this module *measures*
-// where wall-clock time actually goes once the ShardedBackend runs — per
-// barrier window and per worker, split across
+// This module *measures* where wall-clock time goes when the ShardedBackend
+// runs — per barrier window and per worker, split across
 //
 //   dispatch      — executing the owner queues' events,
 //   outbox drain  — gathering/sorting/enqueueing cross-owner messages,
@@ -18,19 +16,19 @@
 // window per run() call, all of it dispatch on worker 0), so serial and
 // sharded runs export the same report schema.
 //
-// validate() replays the ScaleProfiler's virtual-barrier model (LPT packing
-// of per-owner loads onto k virtual shards, window cost = the slowest
-// shard) over the per-window per-owner event counts this profiler recorded
-// at runtime, and compares the model's predicted speedup against the
-// measured one (worker busy seconds / elapsed run wall). The residual is
-// decomposed into the three loss terms a barrier design can suffer —
+// validate() runs a virtual-barrier model (LPT packing of per-owner loads
+// onto k virtual shards, window cost = the slowest shard) over the
+// per-window per-owner event counts this profiler recorded at runtime, and
+// compares the model's predicted speedup against the measured one (worker
+// busy seconds / elapsed run wall). The residual is decomposed into the
+// three loss terms a barrier design can suffer —
 // dispatch imbalance, barrier/coordination overhead, drain cost — so a
 // regression names its cause.
 //
 // Determinism contract — the explicit EXCEPTION. Everything here is
 // wall-clock data and therefore nondeterministic run to run: exec reports
 // are exempt from the byte-identity contract that covers metrics, spans,
-// time series, audit, and scale exports. The harness emits them to their
+// time series, audit, and mem exports. The harness emits them to their
 // own files (--exec-json/--exec-trace/--exec-dashboard), never into the
 // .metrics object, and detlint's wall-clock check keeps the list of
 // modules allowed to read the wall clock to exactly the audited set this
@@ -54,7 +52,7 @@ class ExecProfiler {
   /// Chrome trace (aggregates stay complete) so long runs stay bounded.
   static constexpr std::size_t kMaxSliceWindows = 512;
   /// Modeled bytes per cross-owner message (control block + payload
-  /// handle), mirroring the ScaleProfiler's event-size estimate.
+  /// handle), the same estimate as sim::kEventControlBlockBytes.
   static constexpr std::uint64_t kMsgBytes = 96;
 
   /// One worker's share of one barrier window (seconds of wall time).
@@ -204,7 +202,7 @@ class ExecProfiler {
     std::uint64_t window_events = 0;
     std::uint64_t serial_events = 0;  ///< control-batch events (serial by design)
     double measured_speedup = 0;   ///< busy wall / elapsed wall
-    double predicted_speedup = 0;  ///< the ScaleProfiler LPT model, replayed
+    double predicted_speedup = 0;  ///< the LPT virtual-barrier model
     std::size_t windows_compared = 0;
     double mean_window_error = 0;  ///< mean |measured − predicted| / predicted
     double imbalance_seconds = 0;  ///< max-dispatch − mean-dispatch, summed
@@ -240,7 +238,7 @@ std::string exec_chrome_trace(const ExecProfiler& ep);
 
 /// Self-contained zero-JS HTML dashboard: stat tiles, worker timeline
 /// gantt, window-occupancy histogram, and per-worker stall breakdown —
-/// same idiom as scale_dashboard / timeseries_dashboard.
+/// same idiom as mem_dashboard / timeseries_dashboard.
 std::string exec_dashboard(const ExecProfiler& ep, const std::string& title);
 
 }  // namespace tussle::sim

@@ -1,21 +1,21 @@
 #include "sim/mem_profile.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <stdexcept>
 
 #include "sim/json.hpp"
-#include "sim/scale_profile.hpp"
+#include "sim/report_kit.hpp"
 
 namespace tussle::sim {
 
 namespace {
 
-/// Power-of-two bucket: 0 -> 0, and bucket b covers [2^(b-1), 2^b - 1].
-std::uint32_t log2_bucket(std::uint64_t v) noexcept {
-  return static_cast<std::uint32_t>(std::bit_width(v));
-}
+using report_kit::fmt2;
+using report_kit::fmt_compact;
+using report_kit::html_escape;
+using report_kit::log2_bucket;
+using report_kit::open_card;
 
 /// Negative durations cannot happen (sim time is monotone within a run),
 /// but a defensive clamp keeps the bucket math total.
@@ -403,66 +403,9 @@ std::string MemProfiler::report_json() const {
   return w.str();
 }
 
-// ------------------------------------------------------- shared accounting
-
-void profile_actor(ScaleProfiler* sp, MemProfiler* mp, const char* kind,
-                   std::uint64_t bytes) {
-  if (sp != nullptr) sp->register_actor(kind, bytes);
-  if (mp != nullptr) mp->register_actor(kind, bytes);
-}
-
-void profile_alloc(ScaleProfiler* sp, MemProfiler* mp, const char* kind,
-                   std::uint64_t bytes) {
-  if (sp != nullptr) sp->count_alloc(kind, bytes);
-  if (mp != nullptr) mp->count_alloc(kind, bytes);
-}
-
 // --------------------------------------------------------------- dashboard
 
 namespace {
-
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// Fixed two decimals so SVG output is platform-stable.
-std::string fmt2(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
-}
-
-std::string fmt_compact(double v) {
-  char buf[48];
-  if (v == 0) return "0";
-  const double a = v < 0 ? -v : v;
-  if (a >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.1fM", v / 1e6);
-  } else if (a >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.1fk", v / 1e3);
-  } else if (a >= 10 || a == static_cast<double>(static_cast<std::int64_t>(a))) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2f", v);
-  }
-  return buf;
-}
-
-void open_card(std::string& out, const std::string& heading, const std::string& note) {
-  out += "<div class=\"card\">\n<h2>" + html_escape(heading) + "</h2>\n";
-  if (!note.empty()) out += "<p class=\"stats\">" + note + "</p>\n";
-}
 
 /// One labelled power-of-two histogram card body (shared by the four
 /// lifetime charts and the hops chart).

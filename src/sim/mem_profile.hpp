@@ -16,18 +16,12 @@
 //      indirection depth along the hot path (queue top → heap handle →
 //      closure, then node → FIB → interface → link → queue as components
 //      report them) plus container-occupancy stats, scored per component
-//      into a predicted arena/SoA benefit — the analogue of the
-//      ScaleProfiler's predicted-speedup curve, and the ranking that says
-//      which component the refactor should flatten first;
+//      into a predicted arena/SoA benefit — the ranking that says which
+//      component the refactor should flatten first;
 //  (d) peak/steady live-bytes per shard, so the sharded backend's memory
 //      footprint is attributable per owner.
 //
-// One accounting source: ScaleProfiler's bytes-per-actor tables and this
-// profiler's live-bytes are fed by the same registration calls (see
-// profile_actor / profile_alloc below) and share kEventControlBlockBytes,
-// so the two reports can never disagree on a size.
-//
-// Determinism contract (same as spans/timeseries/scale — detlint's
+// Determinism contract (same as spans/timeseries — detlint's
 // mem-wall-clock check enforces the first rule statically):
 //  - nothing here may touch a wall clock, draw randomness, or schedule:
 //    every recorded byte is a model unit attached to a sim-time event, so
@@ -54,14 +48,11 @@
 
 namespace tussle::sim {
 
-class ScaleProfiler;
-
 /// Estimated resident bytes of one scheduled event: the heap Entry (time,
 /// seq, id, std::function) plus the typical out-of-line closure the
 /// std::function small-buffer optimisation cannot hold. A model constant,
 /// not a measurement — the arena-allocation refactor gates on the *count*;
-/// bytes give the reports a common unit with packets and actors. Shared by
-/// ScaleProfiler and MemProfiler so their event-churn rows always agree.
+/// bytes give the reports a common unit with packets and actors.
 inline constexpr std::uint64_t kEventControlBlockBytes = 96;
 
 /// Base pointer-chase depth of one dispatch before any component adds its
@@ -295,15 +286,6 @@ class MemProfiler {
   std::uint64_t merged_runs_ = 0;
   std::int64_t merged_peak_ = 0;
 };
-
-/// Registers one actor into whichever of the two profilers is attached —
-/// the single accounting source keeping ScaleProfiler bytes-per-actor and
-/// MemProfiler live-bytes in agreement by construction.
-void profile_actor(ScaleProfiler* sp, MemProfiler* mp, const char* kind,
-                   std::uint64_t bytes);
-/// Counts one transient allocation into whichever profiler is attached.
-void profile_alloc(ScaleProfiler* sp, MemProfiler* mp, const char* kind,
-                   std::uint64_t bytes);
 
 /// Self-contained zero-JS HTML dashboard section: stat tiles, live-bytes
 /// timeline, lifetime histograms, per-site allocation bars, locality

@@ -89,10 +89,6 @@ ShardedBackend::Lp& ShardedBackend::lp_for(ShardId owner) {
 
 EventId ShardedBackend::push_control(SimTime at, TaskTag tag, EventQueue::Action action) {
   const EventId id = control_.push(at, std::move(action), tag);
-  if (ScaleProfiler* sc = scale_hook()) {
-    ShardAuditor* au = auditor_hook();
-    sc->on_schedule(id.value, base_now(), at, tag, au != nullptr ? au->current() : kNoShard);
-  }
   if (MemProfiler* mm = mem_hook()) mm->on_schedule(id.value, base_now(), at, tag);
   return id;
 }
@@ -100,10 +96,6 @@ EventId ShardedBackend::push_control(SimTime at, TaskTag tag, EventQueue::Action
 EventId ShardedBackend::push_direct(Lp& lp, SimTime at, TaskTag tag,
                                     EventQueue::Action action) {
   const EventId id = lp.queue.push(at, std::move(action), tag);
-  if (ScaleProfiler* sc = scale_hook()) {
-    ShardAuditor* au = auditor_hook();
-    sc->on_schedule(id.value, base_now(), at, tag, au != nullptr ? au->current() : kNoShard);
-  }
   if (MemProfiler* mm = mem_hook()) mm->on_schedule(id.value, base_now(), at, tag);
   return id;
 }
@@ -114,10 +106,6 @@ EventId ShardedBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action act
     // A worker event scheduling for its own owner: plain per-owner push.
     Lp& lp = *static_cast<Lp*>(c->lp);
     const EventId id = lp.queue.push(at, std::move(action), tag);
-    if (scale_hook() != nullptr) {
-      lp.scale.on_schedule(id.value, c->now, at, tag,
-                           auditor_hook() != nullptr ? lp.audit.current() : kNoShard);
-    }
     if (mem_hook() != nullptr) lp.mem.on_schedule(id.value, c->now, at, tag);
     return id;
   }
@@ -142,10 +130,6 @@ EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
   Lp& src = *static_cast<Lp*>(c->lp);
   if (owner == src.owner) {
     const EventId id = src.queue.push(at, std::move(action), tag);
-    if (scale_hook() != nullptr) {
-      src.scale.on_schedule(id.value, c->now, at, tag,
-                            auditor_hook() != nullptr ? src.audit.current() : kNoShard);
-    }
     if (mem_hook() != nullptr) src.mem.on_schedule(id.value, c->now, at, tag);
     return id;
   }
@@ -175,7 +159,6 @@ EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
   m.seq = seq;
   m.tag = tag;
   m.action = std::move(action);
-  m.origin = auditor_hook() != nullptr ? src.audit.current() : kNoShard;
   m.sent = c->now;
   src.outbox[slot].push_back(std::move(m));
   // A synthetic, non-cancellable id: the destination assigns the real one
@@ -191,7 +174,6 @@ bool ShardedBackend::cancel(EventId id) {
   if (owner_p1 == 0) {
     if (worker) return false;  // the control queue belongs to the coordinator
     const bool ok = control_.cancel(id);
-    if (ok && scale_hook() != nullptr) scale_hook()->on_cancel(id.value);
     if (ok && mem_hook() != nullptr) mem_hook()->on_cancel(id.value, base_now());
     return ok;
   }
@@ -200,13 +182,6 @@ bool ShardedBackend::cancel(EventId id) {
   Lp& lp = *lps_[it->second];
   if (worker && c->lp != &lp) return false;  // cross-owner cancel would race
   const bool ok = lp.queue.cancel(id);
-  if (ok && scale_hook() != nullptr) {
-    if (worker) {
-      lp.scale.on_cancel(id.value);
-    } else {
-      scale_hook()->on_cancel(id.value);
-    }
-  }
   if (ok && mem_hook() != nullptr) {
     // Route like the schedule did: worker pushes recorded in the lane,
     // setup/control pushes (push_direct) in the base profiler — so the
@@ -243,7 +218,6 @@ bool ShardedBackend::step() {
 std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
                                        ExecProfiler::WorkerLane* xl) {
   const bool audit = auditor_hook() != nullptr;
-  const bool scale = scale_hook() != nullptr;
   const bool mem = mem_hook() != nullptr;
   const bool prof = profiler_hook() != nullptr;
   ExecCtx ctx;
@@ -251,7 +225,6 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
   ctx.lp = &lp;
   ctx.rng = &lp.rng;
   ctx.auditor = audit ? &lp.audit : nullptr;
-  ctx.scale = scale ? &lp.scale : nullptr;
   ctx.mem = mem ? &lp.mem : nullptr;
   ctx.owner = lp.owner;
   CtxGuard guard(&ctx);
@@ -262,7 +235,6 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
     lp.lp_now = ev.time;
     ctx.now = ev.time;
     if (audit) lp.audit.begin_event(ev.time, ev.tag);
-    if (scale) lp.scale.begin_event(ev.id.value, ev.time, lp.queue.size(), ev.tag);
     if (mem) lp.mem.begin_event(ev.id.value, ev.time, lp.queue.size(), ev.tag);
     if (prof) {
       const double t0 = wall_now_seconds();
@@ -271,9 +243,8 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
     } else {
       ev.action();
     }
-    // Both profilers read the auditor's claim before end_event resets it.
+    // The mem profiler reads the auditor's claim before end_event resets it.
     if (mem) lp.mem.end_event(audit ? lp.audit.current() : kNoShard);
-    if (scale) lp.scale.end_event(audit ? lp.audit.current() : kNoShard);
     if (audit) lp.audit.end_event();
     ++lp.executed;
     ++n;
@@ -304,7 +275,6 @@ void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLa
     if (a.src != b.src) return a.src < b.src;
     return a.seq < b.seq;
   });
-  const bool scale = scale_hook() != nullptr;
   const bool mem = mem_hook() != nullptr;
   for (auto& m : msgs) {
     if (m.at < dst.lp_now) {
@@ -319,7 +289,6 @@ void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLa
           "lookahead ahead");
     }
     const EventId id = dst.queue.push(m.at, std::move(m.action), m.tag);
-    if (scale) dst.scale.on_schedule(id.value, m.sent, m.at, m.tag, m.origin);
     if (mem) dst.mem.on_schedule(id.value, m.sent, m.at, m.tag);
   }
 }
@@ -342,11 +311,9 @@ void ShardedBackend::drain_control_inbox() {
     if (a.src != b.src) return a.src < b.src;
     return a.seq < b.seq;
   });
-  const bool scale = scale_hook() != nullptr;
   MemProfiler* const mm = mem_hook();
   for (auto& m : msgs) {
     const EventId id = control_.push(m.at, std::move(m.action), m.tag);
-    if (scale) scale_hook()->on_schedule(id.value, m.sent, m.at, m.tag, m.origin);
     if (mm != nullptr) mm->on_schedule(id.value, m.sent, m.at, m.tag);
   }
 }
@@ -361,7 +328,6 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
   const double xt1 = ex != nullptr ? wall_now_seconds() : 0;
   std::size_t n = 0;
   ShardAuditor* au = auditor_hook();
-  ScaleProfiler* sc = scale_hook();
   MemProfiler* mm = mem_hook();
   LoopProfiler* pr = profiler_hook();
   ExecCtx ctx;
@@ -369,7 +335,6 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
   ctx.control = true;
   ctx.rng = &base_rng();
   ctx.auditor = au;
-  ctx.scale = sc;
   ctx.mem = mm;
   CtxGuard guard(&ctx);
   while (!control_.empty() && control_.next_time() == tc && !stop_requested()) {
@@ -380,7 +345,6 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
       au->begin_event(ev.time, ev.tag);
       au->declare_control_event(ev.tag.kind != nullptr ? ev.tag.kind : "control");
     }
-    if (sc != nullptr) sc->begin_event(ev.id.value, ev.time, control_.size(), ev.tag);
     if (mm != nullptr) mm->begin_event(ev.id.value, ev.time, control_.size(), ev.tag);
     if (pr != nullptr) {
       const double t0 = wall_now_seconds();
@@ -390,7 +354,6 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
       ev.action();
     }
     if (mm != nullptr) mm->end_event(au != nullptr ? au->current() : kNoShard);
-    if (sc != nullptr) sc->end_event(au != nullptr ? au->current() : kNoShard);
     if (au != nullptr) au->end_event();
     ++n;
   }
@@ -446,7 +409,6 @@ void ShardedBackend::merge_observability() {
   // semantics treat each source as a completed run), so this happens at the
   // end of run() only, again in ascending owner order.
   ShardAuditor* au = auditor_hook();
-  ScaleProfiler* sc = scale_hook();
   MemProfiler* mm = mem_hook();
   LoopProfiler* pr = profiler_hook();
   for (auto& lp : lps_) {
@@ -454,10 +416,6 @@ void ShardedBackend::merge_observability() {
       au->merge(lp->audit);
       lp->audit = ShardAuditor{};
       lp->audit.set_fail_fast(au->fail_fast());
-    }
-    if (sc != nullptr) {
-      sc->merge(lp->scale);
-      lp->scale = ScaleProfiler{};
     }
     if (mm != nullptr) {
       mm->merge(lp->mem);

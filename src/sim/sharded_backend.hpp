@@ -1,6 +1,5 @@
 // Conservative barrier-synchronized parallel execution (PDES) for the
-// Simulator — the engine ROADMAP item 2 calls for, shaped like Shadow's
-// scheduler/worker split and sized by what sim::ScaleProfiler measured.
+// Simulator, shaped like Shadow's scheduler/worker split.
 //
 // Model
 // -----
@@ -38,7 +37,7 @@
 //
 // Shared sinks (packet counters, id sources, auditor, profilers) never
 // see concurrent writers: workers accumulate into per-owner lanes
-// (shard_lane<T>, plus built-in auditor/scale/loop-profiler lanes) and
+// (shard_lane<T>, plus built-in auditor/mem/loop-profiler lanes) and
 // the coordinator folds them in ascending owner order — at control
 // events for state lanes, at the end of run() for observability — so
 // merged output is shard-count-independent.
@@ -56,7 +55,6 @@
 #include "sim/mem_profile.hpp"
 #include "sim/profiler.hpp"
 #include "sim/random.hpp"
-#include "sim/scale_profile.hpp"
 #include "sim/shard_audit.hpp"
 #include "sim/time.hpp"
 
@@ -112,7 +110,6 @@ class ShardedBackend final : public ExecutionBackend {
     std::uint64_t seq = 0;  ///< per-source send counter: the canonical tiebreak
     TaskTag tag;
     EventQueue::Action action;
-    ShardId origin = kNoShard;  ///< shard claimed by the sending event
     SimTime sent;
   };
 
@@ -136,7 +133,6 @@ class ShardedBackend final : public ExecutionBackend {
     std::vector<std::vector<Msg>> outbox;
     std::map<const void*, LaneEntry> lanes;  ///< shard_lane<T> storage
     ShardAuditor audit;                      ///< lane when a base auditor is attached
-    ScaleProfiler scale;                     ///< lane when a base scale profiler is attached
     MemProfiler mem;                         ///< lane when a base mem profiler is attached
     LoopProfiler prof;                       ///< lane when a base loop profiler is attached
     std::size_t executed = 0;

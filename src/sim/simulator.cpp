@@ -6,7 +6,6 @@
 
 #include "sim/exec_profile.hpp"
 #include "sim/mem_profile.hpp"
-#include "sim/scale_profile.hpp"
 #include "sim/shard_audit.hpp"
 
 namespace tussle::sim {
@@ -14,7 +13,7 @@ namespace tussle::sim {
 // ------------------------------------------------------- backend plumbing --
 
 namespace detail {
-thread_local ExecCtx* t_exec_ctx = nullptr;
+constinit thread_local ExecCtx* t_exec_ctx = nullptr;
 void set_exec_ctx(ExecCtx* ctx) noexcept { t_exec_ctx = ctx; }
 }  // namespace detail
 
@@ -31,12 +30,10 @@ void ExecutionBackend::clear_stop() noexcept {
 }
 void ExecutionBackend::add_executed(std::size_t n) noexcept { sim_->executed_ += n; }
 bool ExecutionBackend::hooks_record_tags() const noexcept {
-  return sim_->profiler_ != nullptr || sim_->auditor_ != nullptr ||
-         sim_->scale_ != nullptr || sim_->mem_ != nullptr;
+  return sim_->profiler_ != nullptr || sim_->auditor_ != nullptr || sim_->mem_ != nullptr;
 }
 LoopProfiler* ExecutionBackend::profiler_hook() const noexcept { return sim_->profiler_; }
 ShardAuditor* ExecutionBackend::auditor_hook() const noexcept { return sim_->auditor_; }
-ScaleProfiler* ExecutionBackend::scale_hook() const noexcept { return sim_->scale_; }
 ExecProfiler* ExecutionBackend::exec_hook() const noexcept { return sim_->exec_; }
 MemProfiler* ExecutionBackend::mem_hook() const noexcept { return sim_->mem_; }
 
@@ -103,31 +100,14 @@ EventId Simulator::schedule_at(SimTime at, TaskTag tag, EventQueue::Action actio
 
 EventId Simulator::serial_schedule(SimTime at, TaskTag tag, EventQueue::Action action) {
   const EventId id = queue_.push(at, std::move(action), tag);
-  if (scale_ != nullptr) note_schedule(id, at, tag);
   if (mem_ != nullptr) mem_note_schedule(id, at, tag);
   return id;
 }
 
 bool Simulator::serial_cancel(EventId id) {
   const bool cancelled = queue_.cancel(id);
-  if (cancelled && scale_ != nullptr) scale_->on_cancel(id.value);
   if (cancelled && mem_ != nullptr) mem_note_cancel(id);
   return cancelled;
-}
-
-void Simulator::note_schedule(EventId id, SimTime at, const TaskTag& tag) {
-  // The scheduling event's claimed shard is the traffic-matrix origin;
-  // during setup (or with no auditor) there is none.
-  const ShardId origin = auditor_ != nullptr ? auditor_->current() : kNoShard;
-  scale_->on_schedule(id.value, now_, at, tag, origin);
-}
-
-void Simulator::scale_begin(const EventQueue::Popped& ev) {
-  scale_->begin_event(ev.id.value, now_, queue_.size(), ev.tag);
-}
-
-void Simulator::scale_end() {
-  scale_->end_event(auditor_ != nullptr ? auditor_->current() : kNoShard);
 }
 
 void Simulator::mem_note_schedule(EventId id, SimTime at, const TaskTag& tag) {
@@ -232,16 +212,14 @@ std::size_t Simulator::serial_run(SimTime horizon) {
     auto ev = queue_.pop();
     now_ = ev.time;
     if (auditor_ != nullptr) auditor_->begin_event(now_, ev.tag);
-    if (scale_ != nullptr) scale_begin(ev);
     if (mem_ != nullptr) mem_begin(ev);
     if (instrumented_) {
       dispatch_instrumented(ev);
     } else {
       ev.action();
     }
-    // Both profilers read the auditor's claim before end_event resets it.
+    // The mem profiler reads the auditor's claim before end_event resets it.
     if (mem_ != nullptr) mem_end();
-    if (scale_ != nullptr) scale_end();
     if (auditor_ != nullptr) auditor_->end_event();
     ++n;
     ++executed_;
@@ -262,7 +240,6 @@ bool Simulator::serial_step() {
   auto ev = queue_.pop();
   now_ = ev.time;
   if (auditor_ != nullptr) auditor_->begin_event(now_, ev.tag);
-  if (scale_ != nullptr) scale_begin(ev);
   if (mem_ != nullptr) mem_begin(ev);
   if (instrumented_) {
     dispatch_instrumented(ev);
@@ -270,7 +247,6 @@ bool Simulator::serial_step() {
     ev.action();
   }
   if (mem_ != nullptr) mem_end();
-  if (scale_ != nullptr) scale_end();
   if (auditor_ != nullptr) auditor_->end_event();
   ++executed_;
   return true;

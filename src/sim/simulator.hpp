@@ -11,7 +11,7 @@
 //    owner (AS), byte-identical output at any shard count.
 //
 // Component code stays backend-agnostic: now()/rng()/auditor()/
-// scale_profiler() resolve through the per-thread ExecCtx when a sharded
+// mem_profiler() resolve through the per-thread ExecCtx when a sharded
 // worker is dispatching, and fall back to the simulator's own state
 // otherwise (one thread-local load per call on the serial path).
 //
@@ -42,7 +42,6 @@
 namespace tussle::sim {
 
 class ShardAuditor;
-class ScaleProfiler;
 class ExecProfiler;
 class MemProfiler;
 
@@ -158,8 +157,7 @@ class Simulator {
   /// owned; must outlive the simulator or be detached first.
   void set_profiler(LoopProfiler* profiler) noexcept {
     profiler_ = profiler;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || scale_ != nullptr ||
-                       mem_ != nullptr);
+    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || mem_ != nullptr);
     instrumented_ = profiler_ != nullptr || static_cast<bool>(heartbeat_);
     backend_->on_hooks_changed();
   }
@@ -173,34 +171,13 @@ class Simulator {
   /// accessor returns the worker's per-owner lane.
   void set_auditor(ShardAuditor* auditor) noexcept {
     auditor_ = auditor;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || scale_ != nullptr ||
-                       mem_ != nullptr);
+    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || mem_ != nullptr);
     backend_->on_hooks_changed();
   }
   ShardAuditor* auditor() const noexcept {
     const ExecCtx* c = current_exec_ctx();
     if (c != nullptr && c->sim == this) return c->auditor;
     return auditor_;
-  }
-
-  /// Attaches (or detaches, with nullptr) the scale profiler. Dispatch then
-  /// reports schedule/cancel/dispatch transitions so it can reconstruct the
-  /// event DAG, per-shard loads, and queue-depth profile (see
-  /// sim/scale_profile.hpp). Works best with an auditor attached too —
-  /// shard attribution comes from the auditor's claim registry, and without
-  /// one every event lands on kNoShard. Not owned. Uninstrumented runs pay
-  /// one null-pointer branch per schedule and per event. Inside a sharded
-  /// worker event the accessor returns the worker's per-owner lane.
-  void set_scale_profiler(ScaleProfiler* scale) noexcept {
-    scale_ = scale;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || scale_ != nullptr ||
-                       mem_ != nullptr);
-    backend_->on_hooks_changed();
-  }
-  ScaleProfiler* scale_profiler() const noexcept {
-    const ExecCtx* c = current_exec_ctx();
-    if (c != nullptr && c->sim == this) return c->scale;
-    return scale_;
   }
 
   /// Attaches (or detaches, with nullptr) the memory profiler. Dispatch
@@ -214,8 +191,7 @@ class Simulator {
   /// worker's per-owner lane.
   void set_mem_profiler(MemProfiler* mem) noexcept {
     mem_ = mem;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || scale_ != nullptr ||
-                       mem_ != nullptr);
+    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || mem_ != nullptr);
     backend_->on_hooks_changed();
   }
   MemProfiler* mem_profiler() const noexcept {
@@ -274,11 +250,6 @@ class Simulator {
   /// barrier window by the sharded coordinator (via the backend accessors).
   void emit_heartbeat(SimTime sim_now, std::size_t executed_total,
                       std::size_t queue_depth);
-  /// Out-of-line scale-profiler notifications (ScaleProfiler is an
-  /// incomplete type here).
-  void note_schedule(EventId id, SimTime at, const TaskTag& tag);
-  void scale_begin(const EventQueue::Popped& ev);
-  void scale_end();
   /// Out-of-line mem-profiler notifications (MemProfiler is an incomplete
   /// type here).
   void mem_note_schedule(EventId id, SimTime at, const TaskTag& tag);
@@ -304,7 +275,6 @@ class Simulator {
   bool instrumented_ = false;  ///< profiler_ or heartbeat active
   LoopProfiler* profiler_ = nullptr;
   ShardAuditor* auditor_ = nullptr;
-  ScaleProfiler* scale_ = nullptr;
   ExecProfiler* exec_ = nullptr;
   MemProfiler* mem_ = nullptr;
   Tracer tracer_;

@@ -7,6 +7,7 @@
 
 #include "sim/json.hpp"
 #include "sim/metric_registry.hpp"
+#include "sim/report_kit.hpp"
 #include "sim/simulator.hpp"
 
 namespace tussle::sim {
@@ -197,20 +198,8 @@ std::string TimeSeriesStore::to_json(const ConvergenceConfig& cfg) const {
 
 namespace {
 
-std::string html_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
+using report_kit::fmt2;
+using report_kit::html_escape;
 
 /// Short deterministic number for axis labels and stat tiles.
 std::string fmt_short(double v) {
@@ -227,13 +216,6 @@ std::string fmt_time(SimTime t) {
   if (abs_ns < 1e6) return fmt_short(ns * 1e-3) + "us";
   if (abs_ns < 1e9) return fmt_short(ns * 1e-6) + "ms";
   return fmt_short(ns * 1e-9) + "s";
-}
-
-/// SVG coordinate: fixed two decimals so output is platform-stable.
-std::string fmt_coord(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
 }
 
 // Chart geometry shared by every series card.
@@ -260,17 +242,17 @@ void render_chart(std::string& out, const TimeSeries& ts, const SeriesAnalysis& 
   };
   auto sy = [&](double v) { return kMT + (hi - v) / (hi - lo) * kPlotH; };
 
-  out += "<svg viewBox=\"0 0 " + fmt_coord(kW) + " " + fmt_coord(kH) +
+  out += "<svg viewBox=\"0 0 " + fmt2(kW) + " " + fmt2(kH) +
          "\" role=\"img\" aria-label=\"" + std::to_string(n) +
          " samples\">\n";
 
   // Hairline grid + y labels at four levels.
   for (int g = 0; g <= 3; ++g) {
     const double v = lo + (hi - lo) * static_cast<double>(g) / 3.0;
-    const std::string y = fmt_coord(sy(v));
-    out += "<line class=\"grid\" x1=\"" + fmt_coord(kML) + "\" y1=\"" + y + "\" x2=\"" +
-           fmt_coord(kW - kMR) + "\" y2=\"" + y + "\"/>\n";
-    out += "<text class=\"tick\" x=\"" + fmt_coord(kML - 6) + "\" y=\"" + y +
+    const std::string y = fmt2(sy(v));
+    out += "<line class=\"grid\" x1=\"" + fmt2(kML) + "\" y1=\"" + y + "\" x2=\"" +
+           fmt2(kW - kMR) + "\" y2=\"" + y + "\"/>\n";
+    out += "<text class=\"tick\" x=\"" + fmt2(kML - 6) + "\" y=\"" + y +
            "\" dy=\"0.32em\" text-anchor=\"end\">" + html_escape(fmt_short(v)) +
            "</text>\n";
   }
@@ -279,27 +261,27 @@ void render_chart(std::string& out, const TimeSeries& ts, const SeriesAnalysis& 
   const SimTime xt[3] = {ticks.front(), mid, ticks.back()};
   const char* anchors[3] = {"start", "middle", "end"};
   for (int i = 0; i < 3; ++i) {
-    out += "<text class=\"tick\" x=\"" + fmt_coord(sx(xt[i])) + "\" y=\"" +
-           fmt_coord(kH - 8) + "\" text-anchor=\"" + anchors[i] + "\">" +
+    out += "<text class=\"tick\" x=\"" + fmt2(sx(xt[i])) + "\" y=\"" +
+           fmt2(kH - 8) + "\" text-anchor=\"" + anchors[i] + "\">" +
            html_escape(fmt_time(xt[i])) + "</text>\n";
   }
   // Baseline.
-  out += "<line class=\"axis\" x1=\"" + fmt_coord(kML) + "\" y1=\"" +
-         fmt_coord(kMT + kPlotH) + "\" x2=\"" + fmt_coord(kW - kMR) + "\" y2=\"" +
-         fmt_coord(kMT + kPlotH) + "\"/>\n";
+  out += "<line class=\"axis\" x1=\"" + fmt2(kML) + "\" y1=\"" +
+         fmt2(kMT + kPlotH) + "\" x2=\"" + fmt2(kW - kMR) + "\" y2=\"" +
+         fmt2(kMT + kPlotH) + "\"/>\n";
 
   // Convergence marker: dashed vertical at the start of the stable suffix.
   if (a.converged) {
-    const std::string x = fmt_coord(sx(a.converged_at));
-    out += "<line class=\"ann\" x1=\"" + x + "\" y1=\"" + fmt_coord(kMT) + "\" x2=\"" + x +
-           "\" y2=\"" + fmt_coord(kMT + kPlotH) + "\"/>\n";
+    const std::string x = fmt2(sx(a.converged_at));
+    out += "<line class=\"ann\" x1=\"" + x + "\" y1=\"" + fmt2(kMT) + "\" x2=\"" + x +
+           "\" y2=\"" + fmt2(kMT + kPlotH) + "\"/>\n";
   }
 
   // The trajectory itself.
   out += "<polyline class=\"line\" points=\"";
   for (std::size_t i = 0; i < n; ++i) {
     if (i) out += ' ';
-    out += fmt_coord(sx(ticks[i])) + "," + fmt_coord(sy(vals[i]));
+    out += fmt2(sx(ticks[i])) + "," + fmt2(sy(vals[i]));
   }
   out += "\"/>\n";
 
@@ -307,8 +289,8 @@ void render_chart(std::string& out, const TimeSeries& ts, const SeriesAnalysis& 
   // is sparse enough for individual points to be hoverable.
   if (n <= 240) {
     for (std::size_t i = 0; i < n; ++i) {
-      out += "<circle class=\"pt\" cx=\"" + fmt_coord(sx(ticks[i])) + "\" cy=\"" +
-             fmt_coord(sy(vals[i])) + "\" r=\"6\"><title>" +
+      out += "<circle class=\"pt\" cx=\"" + fmt2(sx(ticks[i])) + "\" cy=\"" +
+             fmt2(sy(vals[i])) + "\" r=\"6\"><title>" +
              html_escape(fmt_time(ticks[i])) + " &#8594; " +
              html_escape(json_number(vals[i])) + "</title></circle>\n";
     }

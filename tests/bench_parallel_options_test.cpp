@@ -96,6 +96,30 @@ TEST(ParallelOptions, MalformedEnvironmentFallsThrough) {
   EXPECT_EQ(o.shards, 0u);
 }
 
+TEST(ParallelOptions, NegativeEnvironmentFallsThrough) {
+  EnvGuard guard;
+  ::setenv("TUSSLE_SEED", "-1", 1);  // not a positive integer
+  ::setenv("TUSSLE_JOBS", " 3", 1);
+  const ParallelOptions o =
+      ParallelOptions::resolve(std::nullopt, std::nullopt, std::nullopt, std::nullopt);
+  EXPECT_EQ(o.seed, 1u);
+  EXPECT_EQ(o.jobs, 0u);
+}
+
+TEST(ParseNumber, RequiresTheWholeString) {
+  EXPECT_EQ(parse_number<std::uint64_t>("12"), std::optional<std::uint64_t>(12));
+  EXPECT_EQ(parse_number<std::uint64_t>("0"), std::optional<std::uint64_t>(0));
+  EXPECT_FALSE(parse_number<std::uint64_t>("12abc"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("abc"));
+  EXPECT_FALSE(parse_number<std::uint64_t>(""));
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("+1"));
+  EXPECT_FALSE(parse_number<std::uint64_t>(" 1"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("18446744073709551616"));  // 2^64
+  EXPECT_EQ(parse_number<double>("0.02"), std::optional<double>(0.02));
+  EXPECT_FALSE(parse_number<double>("0.5s"));
+}
+
 TEST(ParallelOptions, AutoJobsDropToOneUnderShards) {
   EnvGuard guard;
   // Auto jobs + in-run sharding: each run's k workers already fill the

@@ -12,7 +12,7 @@ net::Address addr(net::AsId as, std::uint32_t sub, std::uint32_t host) {
   return net::Address{.provider = as, .subscriber = sub, .host = host};
 }
 
-/// Same chain the scale-profile golden test uses:
+/// Three ASes in a line, one node each, with distinct link latencies:
 ///   A(AS1) --1ms-- B(AS2) --2ms-- C(AS3)
 struct ThreeAsChain {
   sim::Simulator sim;

@@ -33,14 +33,6 @@ tracer, shard auditor) honest about their disabled-path cost: the hot
 loops bench_micro times run with every such pointer null, so a throughput
 drop means the "one null-pointer branch per hook site" contract broke.
 
-Scale reports (bench harness --scale-json, recognised by their "scale"
-key) are compared in SCALE mode, normally against the committed
-SCALE_PROFILE.json (pass it as --baseline). All SCALE_TRACKED fields are
-compared exactly and drift is reported; critical_path_length and
-imbalance_ratio additionally gate — growth beyond --max-regression fails,
-since those two bound the predicted PDES speedup from the causality and
-load-balance side respectively.
-
 Memory reports (bench harness --mem-json, recognised by their "mem" key)
 are compared in MEM mode, normally against the committed MEM_PROFILE.json
 (pass it as --baseline). All MEM_TRACKED fields are compared exactly and
@@ -126,18 +118,6 @@ METRIC_GATES: dict[str, list[str]] = {
 # has no harness "experiment" — all its benchmarks live under this one key.
 MICRO_ID = "MICRO"
 
-# Scale-report fields compared exactly (they are deterministic functions of
-# (code, seed, invocation), like gated metrics). critical_path_length and
-# imbalance_ratio additionally *gate*: growth beyond --max-regression fails,
-# because each one bounds the PDES speedup from a different side (span
-# causality vs load balance) and silent growth would erode the parallel
-# headroom the committed profile promises.
-SCALE_GATED = ("critical_path_length", "imbalance_ratio")
-SCALE_TRACKED = SCALE_GATED + (
-    "work", "work_span_ratio", "shards", "cross_shard_events",
-    "speedup_k8", "speedup_bound",
-)
-
 # Memory-report fields compared exactly (model quantities: kind-constant
 # unit sizes times deterministic counts, never RSS). The two gated ones are
 # the per-unit headlines the million-actor refactor budgets against:
@@ -160,10 +140,6 @@ def load_report(path: str) -> dict:
             raise ValueError(f"{path}: empty Google-benchmark report")
         d["experiment"] = {"id": MICRO_ID}
         return d
-    if "scale" in d:  # harness --scale-json report
-        if not d.get("experiment", {}).get("id"):
-            raise ValueError(f"{path}: scale report with no experiment id")
-        return d
     if "exec" in d:  # harness --exec-json report
         if not d.get("experiment", {}).get("id"):
             raise ValueError(f"{path}: exec report with no experiment id")
@@ -178,52 +154,6 @@ def load_report(path: str) -> dict:
     if not d["experiment"].get("id"):
         raise ValueError(f"{path}: empty experiment id")
     return d
-
-
-def scale_summary(report: dict) -> dict:
-    """The SCALE_TRACKED subset of a --scale-json report."""
-    s = report["scale"]
-    shards = sum(1 for e in s.get("shards", [])
-                 if e.get("shard") not in ("none", "shared"))
-    k8 = next((pt["speedup"] for pt in s["speedup"]["curve"] if pt["k"] == 8),
-              None)
-    return {
-        "work": s["work"],
-        "critical_path_length": s["critical_path"]["length"],
-        "work_span_ratio": s["critical_path"]["work_span_ratio"],
-        "imbalance_ratio": s["imbalance"]["ratio"],
-        "shards": shards,
-        "cross_shard_events": s["cross_shard_events"],
-        "speedup_k8": k8,
-        "speedup_bound": s["speedup"]["bound"],
-    }
-
-
-def compare_scale(bench_id: str, report: dict, base: dict,
-                  max_regression: float) -> bool:
-    """SCALE mode: exact-compare the tracked fields, gate the gated ones."""
-    failed = False
-    cur = scale_summary(report)
-    for name in SCALE_TRACKED:
-        value, expected = cur.get(name), base.get(name)
-        if expected is None:
-            print(f"{bench_id}: scale.{name}: not in baseline — run with "
-                  f"--update to adopt it")
-            continue
-        if name in SCALE_GATED:
-            growth = ((value - expected) / expected if expected else
-                      (0.0 if not value else float("inf")))
-            verdict = "REGRESSION" if growth > max_regression else "ok"
-            print(f"{bench_id}: scale.{name}: {value!r} vs baseline "
-                  f"{expected!r} ({growth:+.1%}) {verdict}")
-            if verdict == "REGRESSION":
-                failed = True
-        elif value != expected:
-            print(f"{bench_id}: scale.{name}: {value!r} vs baseline "
-                  f"{expected!r} — drifted (scenario change, not gated)")
-        else:
-            print(f"{bench_id}: scale.{name}: {value!r} ok")
-    return failed
 
 
 def mem_summary(report: dict) -> dict:
@@ -332,8 +262,6 @@ def summarize(report: dict) -> dict:
     bench_id = report["experiment"]["id"]
     if bench_id == MICRO_ID:
         return {"items_per_second": micro_throughputs(report)}
-    if "scale" in report:
-        return scale_summary(report)
     if "mem" in report:
         return mem_summary(report)
     return {
@@ -496,9 +424,6 @@ def main() -> int:
             continue
         if bench_id == MICRO_ID:
             failed |= compare_micro(report, base, args.max_regression)
-            continue
-        if "scale" in report:
-            failed |= compare_scale(bench_id, report, base, args.max_regression)
             continue
         if "mem" in report:
             failed |= compare_mem(bench_id, report, base, args.max_regression)

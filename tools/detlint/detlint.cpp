@@ -29,30 +29,23 @@
 //                      recorder (sim/timeseries*): sample ticks come from the
 //                      simulated clock only, so CSV/JSON/dashboard exports
 //                      stay byte-identical at any --jobs setting.
-//   scale-wall-clock   the same wall-clock token list inside the scale
-//                      profiler (sim/scale_profile*): shard-load cells,
-//                      lookahead windows, and speedup predictions are
-//                      functions of simulated time only, so SCALE_PROFILE
-//                      reports stay byte-identical at any --jobs setting.
 //   exec-wall-clock    every call site of wall_now_seconds(), the project's
 //                      one audited wall-clock helper, anywhere in the tree.
 //                      Wall time may feed observability exports (loop
 //                      profiler, heartbeat, exec profiler) but never event
 //                      order or a simulated value, so each call site must be
 //                      audited and allowlisted with its data-flow argument.
-//   scale-merge-order  hash containers inside the scale profiler: its
-//                      accumulation structures are iterated at merge and
-//                      export points, so every one must be an ordered
-//                      container — hash order would make the merged report
-//                      depend on the stdlib, not the seed.
 //   mem-wall-clock     the same wall-clock token list inside the memory
 //                      profiler (sim/mem_profile*): live-bytes, lifetimes,
 //                      and locality scores are model units attached to
 //                      simulated time — never RSS, never a malloc hook — so
 //                      MEM_PROFILE reports stay byte-identical at any
 //                      --jobs and --shards setting.
-//   mem-merge-order    hash containers inside the memory profiler: same
-//                      merge/export argument as scale-merge-order.
+//   mem-merge-order    hash containers inside the memory profiler: its
+//                      accumulation structures are iterated at merge and
+//                      export points, so every one must be an ordered
+//                      container — hash order would make the merged report
+//                      depend on the stdlib, not the seed.
 //   hot-path-alloc     raw `new`/`delete` or std::make_shared in src/net or
 //                      src/sim: the million-actor refactor (ROADMAP item 1)
 //                      moves per-packet and per-event churn into arenas and
@@ -255,14 +248,7 @@ bool in_timeseries_module(const std::string& path) {
   return path.find("sim/timeseries") != std::string::npos;
 }
 
-/// The scale profiler extends that contract to its speedup model: every
-/// quantity in a SCALE_PROFILE report (shard-load cells, lookahead windows,
-/// barrier costs) derives from simulated time and event counts only.
-bool in_scale_module(const std::string& path) {
-  return path.find("sim/scale_profile") != std::string::npos;
-}
-
-/// The memory profiler carries the same contract again: every quantity in a
+/// The memory profiler carries the same contract: every quantity in a
 /// MEM_PROFILE report (live bytes, lifetimes, locality scores) is a model
 /// unit attached to simulated time — never RSS, never a malloc hook.
 bool in_mem_module(const std::string& path) {
@@ -333,32 +319,6 @@ void check_line_tokens(const std::string& path, std::size_t lineno,
       }
     }
   }
-  if (in_scale_module(path)) {
-    for (std::string_view tok : kSpanWallClockTokens) {
-      if (contains_token(stripped, tok)) {
-        out.push_back({path, lineno, "scale-wall-clock",
-                       "wall-clock source '" + std::string(tok) +
-                           "' in the scale profiler: shard loads, lookahead "
-                           "windows, and speedup predictions derive from "
-                           "simulated time only, or SCALE_PROFILE reports "
-                           "diverge across runs and --jobs settings",
-                       trim(raw)});
-      }
-    }
-    for (const char* tok : {"unordered_map", "unordered_set", "unordered_multimap",
-                            "unordered_multiset", "flat_hash_map", "flat_hash_set"}) {
-      if (contains_token(stripped, tok)) {
-        out.push_back({path, lineno, "scale-merge-order",
-                       std::string(tok) +
-                           " in the scale profiler: accumulation structures are "
-                           "iterated at merge/export points, so they must be "
-                           "ordered containers or the merged report depends on "
-                           "the stdlib's hash, not the seed",
-                       trim(raw)});
-        break;
-      }
-    }
-  }
   if (in_mem_module(path)) {
     for (std::string_view tok : kSpanWallClockTokens) {
       if (contains_token(stripped, tok)) {
@@ -387,10 +347,10 @@ void check_line_tokens(const std::string& path, std::size_t lineno,
     }
   }
   // Every call site of the audited wall-clock helper. The span/timeseries/
-  // scale/mem checks above already ban the token outright inside their
-  // modules, so skip those here — one line should not report twice.
-  if (!in_span_module(path) && !in_timeseries_module(path) && !in_scale_module(path) &&
-      !in_mem_module(path) && contains_token(stripped, "wall_now_seconds")) {
+  // mem checks above already ban the token outright inside their modules,
+  // so skip those here — one line should not report twice.
+  if (!in_span_module(path) && !in_timeseries_module(path) && !in_mem_module(path) &&
+      contains_token(stripped, "wall_now_seconds")) {
     out.push_back({path, lineno, "exec-wall-clock",
                    "wall_now_seconds call site: wall-clock readings may feed "
                    "observability exports only, never event order or a "

@@ -246,7 +246,9 @@ void structural_scan(const std::string& path, const std::string& stripped,
     const std::vector<std::string> tokens = tokenize(statement);
     if (tokens.empty()) return;
     auto has = [&](std::string_view t) { return contains_token(statement, t); };
-    const bool immutable = has("const") || has("constexpr") || has("constinit");
+    // constinit only forces static initialization; the variable stays
+    // mutable, so it does not exempt a declaration the way const does.
+    const bool immutable = has("const") || has("constexpr");
 
     switch (top()) {
       case Scope::kNamespace: {
