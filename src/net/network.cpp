@@ -1,6 +1,5 @@
 #include "net/network.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "sim/exec_backend.hpp"
@@ -173,14 +172,7 @@ void Link::start_transmission(Direction& d) {
         return;
       }
       Node& dst = net_->node(to);
-      // Find the interface on the destination that corresponds to this link.
-      for (IfIndex i = 0; i < static_cast<IfIndex>(dst.interface_count()); ++i) {
-        if (dst.link_of(i) == id_) {
-          dst.receive(std::move(pkt), i);
-          return;
-        }
-      }
-      assert(false && "link endpoint has no matching interface");
+      dst.receive(std::move(pkt));
     });
     if (!d.queue->empty()) start_transmission(d);
   });

@@ -166,7 +166,7 @@ bool Node::run_filters(const Packet& p, FilterDecision& out, bool& disclosed,
   return false;
 }
 
-void Node::receive(Packet p, IfIndex /*iface*/) {
+void Node::receive(Packet p) {
   // A packet arriving is this node's shard running: claim the event.
   if (auto* au = net_->auditor()) au->claim("net.node", id_, as_);
   sim::SpanTracer* sp = net_->spans();

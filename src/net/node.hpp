@@ -96,8 +96,8 @@ class Node {
   /// Originates a packet from this node (stamps uid/send time, then routes).
   void originate(Packet p);
 
-  /// Called by the attached link when a packet arrives on `iface`.
-  void receive(Packet p, IfIndex iface);
+  /// Called by an attached link when a packet arrives.
+  void receive(Packet p);
 
   // --- wiring (used by Network) -------------------------------------------
   IfIndex attach_interface(std::uint32_t link_id) {

@@ -1,23 +1,43 @@
 #include "net/queue.hpp"
 
+#include <algorithm>
+
 namespace tussle::net {
 
 bool DropTailQueue::enqueue(Packet p) {
-  if (q_.size() >= capacity_) {
+  if (size_ >= capacity_) {
     ++drops_;
     return false;
   }
+  if (size_ == ring_.size()) grow();
   bytes_ += p.size_bytes;
-  q_.push_back(std::move(p));
+  std::size_t tail = head_ + size_;
+  if (tail >= ring_.size()) tail -= ring_.size();
+  ring_[tail] = std::move(p);
+  ++size_;
   return true;
 }
 
 std::optional<Packet> DropTailQueue::dequeue() {
-  if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+  if (size_ == 0) return std::nullopt;
+  Packet p = std::move(ring_[head_]);
+  if (++head_ == ring_.size()) head_ = 0;
+  --size_;
   bytes_ -= p.size_bytes;
   return p;
+}
+
+void DropTailQueue::grow() {
+  // Doubling from a small start; unwrap the ring so the head lands at 0.
+  const std::size_t len = std::min(capacity_, std::max<std::size_t>(4, 2 * ring_.size()));
+  std::vector<Packet> bigger(len);
+  for (std::size_t i = 0; i < size_; ++i) {
+    std::size_t from = head_ + i;
+    if (from >= ring_.size()) from -= ring_.size();
+    bigger[i] = std::move(ring_[from]);
+  }
+  ring_ = std::move(bigger);
+  head_ = 0;
 }
 
 PriorityQueue::PriorityQueue(std::size_t per_class_capacity)

@@ -9,9 +9,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "net/packet.hpp"
 
@@ -36,23 +36,31 @@ class Queue {
 };
 
 /// Classic drop-tail FIFO bounded by packet count.
+///
+/// A ring buffer over a vector of packets. The ring grows by doubling, up
+/// to the capacity, only when it is full, so a link whose backlog has
+/// peaked enqueues and dequeues without touching the allocator.
 class DropTailQueue final : public Queue {
  public:
   explicit DropTailQueue(std::size_t capacity_packets) : capacity_(capacity_packets) {}
 
   bool enqueue(Packet p) override;
   std::optional<Packet> dequeue() override;
-  std::size_t packets() const noexcept override { return q_.size(); }
+  std::size_t packets() const noexcept override { return size_; }
   std::uint64_t bytes() const noexcept override { return bytes_; }
   /// Size of the head-of-line packet, if any (used by DRR scheduling).
   std::optional<std::uint32_t> head_size() const noexcept {
-    if (q_.empty()) return std::nullopt;
-    return q_.front().size_bytes;
+    if (size_ == 0) return std::nullopt;
+    return ring_[head_].size_bytes;
   }
 
  private:
+  void grow();
+
   std::size_t capacity_ = 0;
-  std::deque<Packet> q_;
+  std::vector<Packet> ring_;  ///< ring_.size() is the allocated ring length
+  std::size_t head_ = 0;      ///< index of the head-of-line packet
+  std::size_t size_ = 0;
   std::uint64_t bytes_ = 0;
 };
 

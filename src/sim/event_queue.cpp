@@ -5,51 +5,48 @@
 
 namespace tussle::sim {
 
-EventId EventQueue::push(SimTime at, Action action, TaskTag tag) {
-  const EventId id{id_base_ + next_seq_ + 1};  // ids start at 1 so {} is "no event"
-  heap_.push_back(Entry{at, next_seq_, id, std::move(action)});
-  if (record_tags_ && (tag.component != nullptr || tag.kind != nullptr)) {
-    tags_.emplace(next_seq_, tag);
+std::uint32_t EventQueue::Pool::store(Action&& action, TaskTag tag) {
+  if (free.empty()) {
+    free.push_back(static_cast<std::uint32_t>(slots.size()));
+    slots.emplace_back();
   }
+  const std::uint32_t i = free.back();
+  free.pop_back();
+  slots[i].action = std::move(action);
+  slots[i].tag = tag;
+  return i;
+}
+
+EventId EventQueue::push(SimTime at, Action&& action, TaskTag tag) {
+  assert(action);
+  const EventId id{id_base_ + next_seq_ + 1};  // ids start at 1 so {} is "no event"
+  const Key k{at, next_seq_, pool_.store(std::move(action), tag), false};
   ++next_seq_;
+  heap_.push_back(k);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
-void EventQueue::record_tags(bool on) noexcept {
-  record_tags_ = on;
-  if (!on) tags_.clear();
-}
-
 bool EventQueue::cancel(EventId id) {
   if (id.value <= id_base_ || id.value - id_base_ > next_seq_) return false;
-  // A cancelled id may correspond to an already-fired event; the fired set
-  // is implicit (ids below the heap minimum that are absent). We detect it
-  // by scanning lazily: insertion succeeds, but the tombstone is only
-  // meaningful if the entry is still queued. To keep cancel() truthful we
-  // check membership in the live heap.
-  for (const Entry& e : heap_) {
-    if (e.id == id) {
-      return cancelled_.insert(id.value).second;
-    }
+  const std::uint64_t seq = id.value - id_base_ - 1;
+  for (Key& k : heap_) {
+    if (k.seq != seq) continue;
+    if (k.cancelled) return false;
+    k.cancelled = true;
+    ++cancelled_;
+    pool_.discard(k.slot);
+    return true;
   }
   return false;
 }
 
 void EventQueue::drop_cancelled_top() const {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().id.value);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    tags_.erase(heap_.front().seq);
+  while (!heap_.empty() && heap_.front().cancelled) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
+    --cancelled_;
   }
-}
-
-bool EventQueue::empty() const noexcept {
-  // Tombstones may hide all remaining entries.
-  return heap_.size() == cancelled_.size();
 }
 
 SimTime EventQueue::next_time() const {
@@ -62,16 +59,11 @@ EventQueue::Popped EventQueue::pop() {
   drop_cancelled_top();
   assert(!heap_.empty());
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry e = std::move(heap_.back());
+  const Key k = heap_.back();
   heap_.pop_back();
-  TaskTag tag;
-  if (record_tags_) {
-    if (auto it = tags_.find(e.seq); it != tags_.end()) {
-      tag = it->second;
-      tags_.erase(it);
-    }
-  }
-  return Popped{e.time, std::move(e.action), tag, e.id};
+  const EventId id{id_base_ + k.seq + 1};
+  auto& s = pool_.release(k.slot);
+  return Popped{k.time, std::move(s.action), s.tag, id};
 }
 
 }  // namespace tussle::sim

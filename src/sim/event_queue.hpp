@@ -1,17 +1,21 @@
 // Pending-event set for the discrete-event engine.
 //
-// A binary heap keyed on (time, sequence). The sequence number breaks ties
-// in insertion order, so two events scheduled for the same instant fire in
-// the order they were scheduled — a property several protocol models (and
-// the determinism tests) depend on.
+// A binary heap of compact (time, sequence, slot) keys. The sequence number
+// breaks ties in insertion order, so two events scheduled for the same
+// instant fire in the order they were scheduled — a property several
+// protocol models (and the determinism tests) depend on.
+//
+// Closures never sit in the heap: each pending event's Callback and TaskTag
+// live in a slot of a recycled pool, and the heap sifts only the 24-byte
+// keys. Once the pool has grown to the run's peak pending count,
+// push/pop/cancel never touch the allocator (closures over Callback's
+// inline capacity still take its heap fallback).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/profiler.hpp"
 #include "sim/time.hpp"
 
@@ -25,7 +29,7 @@ struct EventId {
 
 class EventQueue {
  public:
-  using Action = std::function<void()>;
+  using Action = Callback;
 
   EventQueue() = default;
 
@@ -37,10 +41,8 @@ class EventQueue {
   EventQueue& operator=(EventQueue&&) = default;
 
   /// Schedules `action` to fire at absolute time `at`. `tag` labels the
-  /// event for the loop profiler; it is retained only while
-  /// record_tags(true) is in effect, so the untagged common case stores
-  /// nothing per event.
-  EventId push(SimTime at, Action action, TaskTag tag = {});
+  /// event for the observability hooks and is returned by pop().
+  EventId push(SimTime at, Action&& action, TaskTag tag = {});
 
   /// Offsets every EventId this queue hands out by `base` (ids become
   /// base + seq + 1). The sharded execution backend runs one queue per
@@ -50,18 +52,15 @@ class EventQueue {
   void set_id_base(std::uint64_t base) noexcept { id_base_ = base; }
   std::uint64_t id_base() const noexcept { return id_base_; }
 
-  /// Turns tag retention on or off (off by default). The Simulator enables
-  /// it while a profiler is attached; keeping tags out of the heap entries
-  /// keeps sift moves cheap for uninstrumented runs.
-  void record_tags(bool on) noexcept;
-
   /// Cancels a pending event. Returns false if the event already fired,
-  /// was cancelled before, or never existed. Cancellation is O(1); the
-  /// tombstoned entry is discarded lazily when it reaches the heap top.
+  /// was cancelled before, or never existed. Finding the event is a linear
+  /// scan of the pending keys; the captured state is destroyed and the slot
+  /// recycled at once, and the marked key is discarded lazily when it
+  /// reaches the heap top.
   bool cancel(EventId id);
 
-  bool empty() const noexcept;
-  std::size_t size() const noexcept { return heap_.size() - cancelled_.size(); }
+  bool empty() const noexcept { return size() == 0; }
+  std::size_t size() const noexcept { return heap_.size() - cancelled_; }
 
   /// Earliest pending event time. Precondition: !empty().
   SimTime next_time() const;
@@ -77,31 +76,52 @@ class EventQueue {
   Popped pop();
 
  private:
-  struct Entry {
+  struct Key {
     SimTime time;
     std::uint64_t seq = 0;
-    EventId id;
-    Action action;
+    std::uint32_t slot = 0;
+    bool cancelled = false;  ///< closure destroyed, slot already recycled
   };
+  static_assert(sizeof(Key) == 24);
+
   // Min-heap comparison (std::push_heap builds a max-heap, so invert).
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
+  struct Slot {
+    Action action;
+    TaskTag tag;
+  };
+
+  /// A recycled slot pool: slots are reused through the free list and the
+  /// vector only grows when every slot is pending.
+  struct Pool {
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> free;
+
+    /// Moves `action` into a free slot; returns the slot index.
+    std::uint32_t store(Action&& action, TaskTag tag);
+    /// Frees slot `i` and returns it; the caller moves the action out
+    /// before the next store().
+    Slot& release(std::uint32_t i) {
+      free.push_back(i);
+      return slots[i];
+    }
+    /// Destroys slot `i`'s action now and frees the slot.
+    void discard(std::uint32_t i) { release(i).action.reset(); }
+  };
+
   void drop_cancelled_top() const;
 
-  // mutable: tombstoned entries are discarded lazily, so logically-const
+  // mutable: cancelled keys are discarded lazily, so logically-const
   // observers (next_time) compact the heap as a side effect.
-  mutable std::vector<Entry> heap_;
-  mutable std::unordered_set<std::uint64_t> cancelled_;
-  // Tags live out-of-line, keyed by sequence number, and only while a
-  // profiler wants them; entries are erased as events fire or tombstones
-  // are discarded.
-  mutable std::map<std::uint64_t, TaskTag> tags_;
-  bool record_tags_ = false;
+  mutable std::vector<Key> heap_;
+  mutable std::size_t cancelled_ = 0;  ///< cancelled keys still in heap_
+  Pool pool_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t id_base_ = 0;
 };

@@ -86,14 +86,14 @@ class ExecutionBackend {
   /// Schedules `action` at absolute time `at` in the calling context's
   /// ordering domain (current owner under the sharded backend; the global
   /// queue serially).
-  virtual EventId schedule(SimTime at, TaskTag tag, EventQueue::Action action) = 0;
+  virtual EventId schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) = 0;
 
   /// Schedules into `owner`'s ordering domain. The serial backend ignores
   /// the owner (one global order); the sharded backend routes to the
   /// owner's queue — through its barrier inbox when called from another
   /// owner's event, so per-owner event order is shard-count-independent.
   virtual EventId schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                               EventQueue::Action action) = 0;
+                               EventQueue::Action&& action) = 0;
 
   /// Cancels a pending event. Backends may refuse cross-owner
   /// cancellation (returns false) — see the concrete backend's contract.
@@ -120,11 +120,6 @@ class ExecutionBackend {
   /// step throw std::logic_error.
   virtual bool step() = 0;
 
-  /// The Simulator re-attached or detached observability hooks
-  /// (profiler/auditor/mem); backends refresh derived state (tag
-  /// recording on their queues).
-  virtual void on_hooks_changed() {}
-
   /// Modeled live bytes across every attached MemProfiler instance: the
   /// base profiler here; the sharded backend adds its per-owner lanes
   /// (safe from control events — workers are parked at the barrier).
@@ -146,7 +141,6 @@ class ExecutionBackend {
   bool stop_requested() const noexcept;
   void clear_stop() noexcept;
   void add_executed(std::size_t n) noexcept;
-  bool hooks_record_tags() const noexcept;
   LoopProfiler* profiler_hook() const noexcept;
   ShardAuditor* auditor_hook() const noexcept;
   ExecProfiler* exec_hook() const noexcept;
@@ -172,9 +166,9 @@ class SerialBackend final : public ExecutionBackend {
   explicit SerialBackend(Simulator& sim) noexcept : ExecutionBackend(sim) {}
 
   const char* name() const noexcept override { return "serial"; }
-  EventId schedule(SimTime at, TaskTag tag, EventQueue::Action action) override;
+  EventId schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) override;
   EventId schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                       EventQueue::Action action) override;
+                       EventQueue::Action&& action) override;
   bool cancel(EventId id) override;
   std::size_t pending() const override;
   std::size_t run(SimTime horizon) override;

@@ -52,7 +52,6 @@ void ShardedBackend::register_owner(ShardId owner) {
   // Namespace the owner's event ids so cancel() can route by id. Bits 40+
   // hold owner+1 (0 stays the control queue); bit 63 flags inbox-routed ids.
   lp->queue.set_id_base((static_cast<std::uint64_t>(owner) + 1) << 40);
-  lp->queue.record_tags(hooks_record_tags());
   lp->rng = Rng::stream(sim_seed(), owner);
   const auto pos = std::lower_bound(
       lps_.begin(), lps_.end(), owner,
@@ -87,20 +86,20 @@ ShardedBackend::Lp& ShardedBackend::lp_for(ShardId owner) {
 
 // ------------------------------------------------------------- scheduling --
 
-EventId ShardedBackend::push_control(SimTime at, TaskTag tag, EventQueue::Action action) {
+EventId ShardedBackend::push_control(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   const EventId id = control_.push(at, std::move(action), tag);
   if (MemProfiler* mm = mem_hook()) mm->on_schedule(id.value, base_now(), at, tag);
   return id;
 }
 
 EventId ShardedBackend::push_direct(Lp& lp, SimTime at, TaskTag tag,
-                                    EventQueue::Action action) {
+                                    EventQueue::Action&& action) {
   const EventId id = lp.queue.push(at, std::move(action), tag);
   if (MemProfiler* mm = mem_hook()) mm->on_schedule(id.value, base_now(), at, tag);
   return id;
 }
 
-EventId ShardedBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action action) {
+EventId ShardedBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   ExecCtx* c = current_exec_ctx();
   if (c != nullptr && c->sim == &sim() && c->lp != nullptr) {
     // A worker event scheduling for its own owner: plain per-owner push.
@@ -111,20 +110,20 @@ EventId ShardedBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action act
   }
   // Setup code or a control event: global work runs on the control queue at
   // a barrier, with every shard quiescent.
-  return push_control(at, std::move(tag), std::move(action));
+  return push_control(at, tag, std::move(action));
 }
 
 EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                                     EventQueue::Action action) {
+                                     EventQueue::Action&& action) {
   ExecCtx* c = current_exec_ctx();
   const bool worker = c != nullptr && c->sim == &sim() && c->lp != nullptr;
   if (!worker) {
     // Setup or control context: the world is quiescent, push directly into
     // the owner's queue (deterministic — single-threaded by construction).
     if (owner == kNoShard || owner == kSharedShard) {
-      return push_control(at, std::move(tag), std::move(action));
+      return push_control(at, tag, std::move(action));
     }
-    return push_direct(lp_for(owner), at, std::move(tag), std::move(action));
+    return push_direct(lp_for(owner), at, tag, std::move(action));
   }
 
   Lp& src = *static_cast<Lp*>(c->lp);
@@ -153,14 +152,13 @@ EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
     slot = it->second;
   }
   const std::uint64_t seq = src.out_seq++;
-  Msg m;
+  Msg& m = src.outbox[slot].emplace_back();
   m.at = at;
   m.src = src.owner;
   m.seq = seq;
   m.tag = tag;
-  m.action = std::move(action);
   m.sent = c->now;
-  src.outbox[slot].push_back(std::move(m));
+  m.action = std::move(action);
   // A synthetic, non-cancellable id: the destination assigns the real one
   // when it drains the inbox.
   return EventId{kRemoteId | (((static_cast<std::uint64_t>(src.owner) + 1) << 40) + seq + 1)};
@@ -199,12 +197,6 @@ std::size_t ShardedBackend::pending() const {
   std::size_t n = control_.size();
   for (const auto& lp : lps_) n += lp->queue.size();
   return n;
-}
-
-void ShardedBackend::on_hooks_changed() {
-  const bool on = hooks_record_tags();
-  control_.record_tags(on);
-  for (auto& lp : lps_) lp->queue.record_tags(on);
 }
 
 bool ShardedBackend::step() {
@@ -254,68 +246,72 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
   return n;
 }
 
-void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLane* xl) {
-  // Gather this destination's inbox: slot `index` of every source outbox.
-  // Each slot has exactly one reader (this worker) after the barrier, so
-  // the gather is race-free without locks.
-  std::vector<Msg> msgs;
+template <typename OnSource>
+void ShardedBackend::gather_inbox(std::size_t index, std::vector<Msg*>& order,
+                                  OnSource on_source) {
+  // Each outbox slot has exactly one reader (its destination's worker, or
+  // the coordinator for the control slot) after the barrier, so the gather
+  // is race-free without locks.
+  order.clear();
   for (auto& src : lps_) {
     auto& slot = src->outbox[index];
     if (slot.empty()) continue;
-    if (xl != nullptr) xl->drained(src->owner, dst.owner, slot.size());
-    msgs.insert(msgs.end(), std::make_move_iterator(slot.begin()),
-                std::make_move_iterator(slot.end()));
-    slot.clear();
+    on_source(src->owner, slot.size());
+    for (Msg& m : slot) order.push_back(&m);
   }
-  if (msgs.empty()) return;
-  // Canonical arrival order: (time, source owner, source sequence) — a pure
-  // function of the simulation, independent of worker interleaving.
-  std::sort(msgs.begin(), msgs.end(), [](const Msg& a, const Msg& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.src != b.src) return a.src < b.src;
-    return a.seq < b.seq;
+  // Sorting pointers leaves the messages (and their closures) in place.
+  std::sort(order.begin(), order.end(), [](const Msg* a, const Msg* b) {
+    if (a->at != b->at) return a->at < b->at;
+    if (a->src != b->src) return a->src < b->src;
+    return a->seq < b->seq;
   });
-  const bool mem = mem_hook() != nullptr;
-  for (auto& m : msgs) {
-    if (m.at < dst.lp_now) {
-      throw std::logic_error(
-          "ShardedBackend: cross-shard lookahead violated — owner " +
-          std::to_string(m.src) + " sent an event for owner " +
-          std::to_string(dst.owner) + " at t=" + std::to_string(m.at.as_nanos()) +
-          "ns, which already executed up to t=" +
-          std::to_string(dst.lp_now.as_nanos()) +
-          "ns; register the true minimum cross-owner latency "
-          "(Simulator::register_lookahead) or schedule no earlier than one "
-          "lookahead ahead");
-    }
-    const EventId id = dst.queue.push(m.at, std::move(m.action), m.tag);
-    if (mem) dst.mem.on_schedule(id.value, m.sent, m.at, m.tag);
+}
+
+void ShardedBackend::clear_inbox(std::size_t index) {
+  for (auto& src : lps_) src->outbox[index].clear();
+}
+
+void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLane* xl) {
+  gather_inbox(index, dst.inbox, [&](ShardId src, std::size_t n) {
+    if (xl != nullptr) xl->drained(src, dst.owner, n);
+  });
+  if (dst.inbox.empty()) return;
+  // Arrivals are sorted by time, so the earliest one decides whether the
+  // producer undercut the declared lookahead.
+  if (const Msg& m = *dst.inbox.front(); m.at < dst.lp_now) {
+    std::logic_error error(
+        "ShardedBackend: cross-shard lookahead violated — owner " +
+        std::to_string(m.src) + " sent an event for owner " +
+        std::to_string(dst.owner) + " at t=" + std::to_string(m.at.as_nanos()) +
+        "ns, which already executed up to t=" +
+        std::to_string(dst.lp_now.as_nanos()) +
+        "ns; register the true minimum cross-owner latency "
+        "(Simulator::register_lookahead) or schedule no earlier than one "
+        "lookahead ahead");
+    clear_inbox(index);  // destroys m: the message is built first
+    throw error;
   }
+  const bool mem = mem_hook() != nullptr;
+  for (Msg* m : dst.inbox) {
+    const EventId id = dst.queue.push(m->at, std::move(m->action), m->tag);
+    if (mem) dst.mem.on_schedule(id.value, m->sent, m->at, m->tag);
+  }
+  clear_inbox(index);
 }
 
 void ShardedBackend::drain_control_inbox() {
-  std::vector<Msg> msgs;
   ExecProfiler* const ex = exec_hook();
-  const std::size_t slot_index = lps_.size();
-  for (auto& src : lps_) {
-    auto& slot = src->outbox[slot_index];
-    if (slot.empty()) continue;
-    if (ex != nullptr) ex->record_drained(src->owner, kNoShard, slot.size());
-    msgs.insert(msgs.end(), std::make_move_iterator(slot.begin()),
-                std::make_move_iterator(slot.end()));
-    slot.clear();
-  }
-  if (msgs.empty()) return;
-  std::sort(msgs.begin(), msgs.end(), [](const Msg& a, const Msg& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.src != b.src) return a.src < b.src;
-    return a.seq < b.seq;
+  const std::size_t index = lps_.size();
+  gather_inbox(index, control_inbox_, [&](ShardId src, std::size_t n) {
+    if (ex != nullptr) ex->record_drained(src, kNoShard, n);
   });
+  if (control_inbox_.empty()) return;
   MemProfiler* const mm = mem_hook();
-  for (auto& m : msgs) {
-    const EventId id = control_.push(m.at, std::move(m.action), m.tag);
-    if (mm != nullptr) mm->on_schedule(id.value, m.sent, m.at, m.tag);
+  for (Msg* m : control_inbox_) {
+    const EventId id = control_.push(m->at, std::move(m->action), m->tag);
+    if (mm != nullptr) mm->on_schedule(id.value, m->sent, m->at, m->tag);
   }
+  clear_inbox(index);
 }
 
 std::size_t ShardedBackend::run_control_at(SimTime tc) {

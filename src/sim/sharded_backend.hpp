@@ -71,9 +71,9 @@ class ShardedBackend final : public ExecutionBackend {
 
   const char* name() const noexcept override { return "sharded"; }
 
-  EventId schedule(SimTime at, TaskTag tag, EventQueue::Action action) override;
+  EventId schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) override;
   EventId schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                       EventQueue::Action action) override;
+                       EventQueue::Action&& action) override;
 
   /// Same-owner and coordinator-context cancellation only: a worker may
   /// cancel its own owner's pending events; setup/control code may cancel
@@ -87,7 +87,6 @@ class ShardedBackend final : public ExecutionBackend {
   std::size_t run(SimTime horizon) override;
   /// Not meaningful under parallel execution; throws std::logic_error.
   bool step() override;
-  void on_hooks_changed() override;
   /// Base profiler plus every owner lane. Callers must be the coordinator
   /// or a control event (workers are parked, so lane reads are ordered by
   /// the barrier).
@@ -109,8 +108,8 @@ class ShardedBackend final : public ExecutionBackend {
     ShardId src = kNoShard;
     std::uint64_t seq = 0;  ///< per-source send counter: the canonical tiebreak
     TaskTag tag;
-    EventQueue::Action action;
     SimTime sent;
+    EventQueue::Action action;
   };
 
   struct LaneEntry {
@@ -131,6 +130,8 @@ class ShardedBackend final : public ExecutionBackend {
     /// outbox[i] buffers messages for lps_[i]; the last slot buffers
     /// messages for the control queue. Sized at run() start.
     std::vector<std::vector<Msg>> outbox;
+    /// Reused drain scratch: this owner's arrivals, sorted by pointer.
+    std::vector<Msg*> inbox;
     std::map<const void*, LaneEntry> lanes;  ///< shard_lane<T> storage
     ShardAuditor audit;                      ///< lane when a base auditor is attached
     MemProfiler mem;                         ///< lane when a base mem profiler is attached
@@ -146,11 +147,19 @@ class ShardedBackend final : public ExecutionBackend {
 
  private:
   Lp& lp_for(ShardId owner);  ///< creates pre-run; throws for unknown owners mid-run
-  EventId push_control(SimTime at, TaskTag tag, EventQueue::Action action);
-  EventId push_direct(Lp& lp, SimTime at, TaskTag tag, EventQueue::Action action);
+  EventId push_control(SimTime at, TaskTag tag, EventQueue::Action&& action);
+  EventId push_direct(Lp& lp, SimTime at, TaskTag tag, EventQueue::Action&& action);
   /// Dispatches lp's events inside the window; returns how many ran. `xl`
   /// is the calling worker's exec-profiler lane (nullptr when detached).
   std::size_t process_lp(Lp& lp, SimTime window_end, ExecProfiler::WorkerLane* xl);
+  /// Gathers inbox `index` (slot `index` of every source outbox) into
+  /// `order` in canonical arrival order — (time, source owner, source
+  /// sequence), a pure function of the simulation — calling
+  /// `on_source(src_owner, count)` for each non-empty source. The messages
+  /// stay in the outboxes until clear_inbox(index).
+  template <typename OnSource>
+  void gather_inbox(std::size_t index, std::vector<Msg*>& order, OnSource on_source);
+  void clear_inbox(std::size_t index);
   void drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLane* xl);
   void drain_control_inbox();
   std::size_t run_control_at(SimTime tc);
@@ -161,6 +170,7 @@ class ShardedBackend final : public ExecutionBackend {
   std::vector<std::unique_ptr<Lp>> lps_;  ///< ascending owner order
   std::map<ShardId, std::size_t> index_;  ///< owner -> position in lps_
   EventQueue control_;
+  std::vector<Msg*> control_inbox_;  ///< drain_control_inbox scratch
   std::int64_t lookahead_ns_ = -1;  ///< min registered cross-owner latency; -1 = none
   bool running_ = false;
   bool audit_fail_fast_ = true;

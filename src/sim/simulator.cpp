@@ -29,9 +29,6 @@ void ExecutionBackend::clear_stop() noexcept {
   sim_->stopping_.store(false, std::memory_order_relaxed);
 }
 void ExecutionBackend::add_executed(std::size_t n) noexcept { sim_->executed_ += n; }
-bool ExecutionBackend::hooks_record_tags() const noexcept {
-  return sim_->profiler_ != nullptr || sim_->auditor_ != nullptr || sim_->mem_ != nullptr;
-}
 LoopProfiler* ExecutionBackend::profiler_hook() const noexcept { return sim_->profiler_; }
 ShardAuditor* ExecutionBackend::auditor_hook() const noexcept { return sim_->auditor_; }
 ExecProfiler* ExecutionBackend::exec_hook() const noexcept { return sim_->exec_; }
@@ -58,12 +55,12 @@ void ExecutionBackend::heartbeat_tick(SimTime sim_now, std::size_t executed_tota
   sim_->emit_heartbeat(sim_now, executed_total, queue_depth);
 }
 
-EventId SerialBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action action) {
+EventId SerialBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   return sim().serial_schedule(at, tag, std::move(action));
 }
 
 EventId SerialBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                                    EventQueue::Action action) {
+                                    EventQueue::Action&& action) {
   (void)owner;  // one global order: owner routing is a sharded-backend concern
   return sim().serial_schedule(at, tag, std::move(action));
 }
@@ -83,7 +80,6 @@ void Simulator::set_backend(std::unique_ptr<ExecutionBackend> backend) {
         "before building the scenario");
   }
   backend_ = std::move(backend);
-  backend_->on_hooks_changed();
 }
 
 // ------------------------------------------------------ scheduling surface --
@@ -98,7 +94,7 @@ EventId Simulator::schedule_at(SimTime at, TaskTag tag, EventQueue::Action actio
   return backend_->schedule(at, tag, std::move(action));
 }
 
-EventId Simulator::serial_schedule(SimTime at, TaskTag tag, EventQueue::Action action) {
+EventId Simulator::serial_schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   const EventId id = queue_.push(at, std::move(action), tag);
   if (mem_ != nullptr) mem_note_schedule(id, at, tag);
   return id;

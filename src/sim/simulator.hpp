@@ -157,9 +157,7 @@ class Simulator {
   /// owned; must outlive the simulator or be detached first.
   void set_profiler(LoopProfiler* profiler) noexcept {
     profiler_ = profiler;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || mem_ != nullptr);
     instrumented_ = profiler_ != nullptr || static_cast<bool>(heartbeat_);
-    backend_->on_hooks_changed();
   }
   LoopProfiler* profiler() const noexcept { return profiler_; }
 
@@ -171,8 +169,6 @@ class Simulator {
   /// accessor returns the worker's per-owner lane.
   void set_auditor(ShardAuditor* auditor) noexcept {
     auditor_ = auditor;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || mem_ != nullptr);
-    backend_->on_hooks_changed();
   }
   ShardAuditor* auditor() const noexcept {
     const ExecCtx* c = current_exec_ctx();
@@ -191,8 +187,6 @@ class Simulator {
   /// worker's per-owner lane.
   void set_mem_profiler(MemProfiler* mem) noexcept {
     mem_ = mem;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || mem_ != nullptr);
-    backend_->on_hooks_changed();
   }
   MemProfiler* mem_profiler() const noexcept {
     const ExecCtx* c = current_exec_ctx();
@@ -216,7 +210,6 @@ class Simulator {
   /// branch per run and per barrier window, never per event.
   void set_exec_profiler(ExecProfiler* exec) noexcept {
     exec_ = exec;
-    backend_->on_hooks_changed();
   }
   ExecProfiler* exec_profiler() const noexcept { return exec_; }
 
@@ -258,7 +251,7 @@ class Simulator {
   void mem_end();
 
   // The pre-split dispatch loop, verbatim; SerialBackend forwards here.
-  EventId serial_schedule(SimTime at, TaskTag tag, EventQueue::Action action);
+  EventId serial_schedule(SimTime at, TaskTag tag, EventQueue::Action&& action);
   bool serial_cancel(EventId id);
   std::size_t serial_run(SimTime horizon);
   bool serial_step();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "sim/callback.hpp"
+
 namespace tussle::net {
 namespace {
 
@@ -43,6 +47,79 @@ TEST(DropTailQueue, ByteAccountingConserved) {
   EXPECT_EQ(q.bytes(), 700u);
   q.dequeue();
   EXPECT_EQ(q.bytes(), 0u);
+}
+
+TEST(DropTailQueue, RingKeepsFifoBytesAndDropsAcrossGrowthAndWrap) {
+  // Capacity 13 is not a power of two, so the ring's last doubling is
+  // clamped; the uneven fill/drain pattern wraps the head and tail around
+  // the ring at every size it passes through.
+  DropTailQueue q(13);
+  std::deque<std::uint64_t> oracle;
+  std::uint64_t oracle_bytes = 0;
+  std::uint64_t oracle_drops = 0;
+  std::uint64_t next_uid = 1;
+  for (int round = 0; round < 60; ++round) {
+    const int adds = 1 + (round * 5) % 9;
+    for (int k = 0; k < adds; ++k) {
+      const std::uint32_t size = 40 + static_cast<std::uint32_t>(next_uid % 17) * 10;
+      const bool accepted = q.enqueue(pkt(ServiceClass::kBestEffort, size, next_uid));
+      EXPECT_EQ(accepted, oracle.size() < 13u);
+      if (accepted) {
+        oracle.push_back(next_uid);
+        oracle_bytes += size;
+      } else {
+        ++oracle_drops;
+      }
+      ++next_uid;
+    }
+    const int takes = 1 + (round * 3) % 7;
+    for (int k = 0; k < takes && !oracle.empty(); ++k) {
+      auto p = q.dequeue();
+      ASSERT_TRUE(p);
+      EXPECT_EQ(p->uid, oracle.front());
+      oracle_bytes -= p->size_bytes;
+      oracle.pop_front();
+    }
+    ASSERT_EQ(q.packets(), oracle.size());
+    ASSERT_EQ(q.bytes(), oracle_bytes);
+    ASSERT_EQ(q.drops(), oracle_drops);
+    if (!oracle.empty()) {
+      ASSERT_TRUE(q.head_size());
+    }
+  }
+  EXPECT_GT(oracle_drops, 0u);
+  while (auto p = q.dequeue()) {
+    EXPECT_EQ(p->uid, oracle.front());
+    oracle.pop_front();
+  }
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_EQ(q.bytes(), 0u);
+  EXPECT_FALSE(q.head_size());
+}
+
+TEST(DropTailQueue, ZeroCapacityDropsEverything) {
+  DropTailQueue q(0);
+  EXPECT_FALSE(q.enqueue(pkt(ServiceClass::kBestEffort)));
+  EXPECT_EQ(q.drops(), 1u);
+  EXPECT_FALSE(q.dequeue());
+}
+
+TEST(LinkHop, PacketClosureFitsCallbackInline) {
+  // The link's serialize and propagate closures capture `this`, one
+  // reference or node id, and the Packet by value; they must not take the
+  // callback's heap fallback.
+  struct Link {
+  } link;
+  int dir = 0;
+  Packet p = pkt(ServiceClass::kPremium, 1200, 9);
+  p.payload_tag = "a payload tag longer than the small-string buffer";
+  sim::Callback cb([l = &link, &dir, pkt = std::move(p)]() mutable {
+    (void)l;
+    dir = static_cast<int>(pkt.size_bytes);
+  });
+  EXPECT_FALSE(cb.on_heap());
+  cb();
+  EXPECT_EQ(dir, 1200);
 }
 
 TEST(PriorityQueue, PremiumServedFirst) {

@@ -87,7 +87,7 @@ TEST(ShardAudit, CrossShardEntryIsAViolationToo) {
   // declared mutator.
   t.sim.schedule(sim::Duration::millis(1), sim::TaskTag{"test", "bad-entry"}, [&] {
     t.net.node(t.a).originate(t.make(t.addr_a, t.addr_b));
-    t.net.node(t.b).receive(t.make(t.addr_a, t.addr_b), 0);
+    t.net.node(t.b).receive(t.make(t.addr_a, t.addr_b));
   });
   EXPECT_THROW(t.sim.run(), sim::ShardViolation);
   ASSERT_EQ(t.audit.violations().size(), 1u);

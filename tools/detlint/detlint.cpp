@@ -53,7 +53,10 @@
 //                      only binds if new churn cannot appear silently. Each
 //                      remaining direct allocation must be audited and
 //                      allowlisted with the reason it is not per-packet
-//                      churn ("= delete" declarations are ignored).
+//                      churn. Not allocations, so not flagged: "= delete"
+//                      declarations, #include lines, and placement
+//                      `::new (ptr) T(...)` (but `::new (std::nothrow)`
+//                      allocates and is flagged).
 //   static-local       mutable function-local `static` in a hot-path
 //                      subsystem: a hidden global whose lazy init races
 //                      under the planned sharded event loop and whose state
@@ -120,6 +123,29 @@ bool contains_token(std::string_view text, std::string_view token) {
     const bool right_ok = end == text.size() || !is_ident_char(text[end]);
     if (left_ok && right_ok) return true;
     pos += 1;
+  }
+  return false;
+}
+
+/// True if `text` has a `new` that allocates. Placement `::new (ptr) T`
+/// only constructs into storage the caller already owns, so it does not
+/// count unless the parenthesized argument names std::nothrow.
+bool has_allocating_new(std::string_view text) {
+  for (std::size_t pos = 0; (pos = text.find("new", pos)) != std::string_view::npos;) {
+    const std::size_t start = pos;
+    const std::size_t end = pos + 3;
+    pos = end;
+    const bool left_ok = start == 0 || !is_ident_char(text[start - 1]);
+    const bool right_ok = end == text.size() || !is_ident_char(text[end]);
+    if (!left_ok || !right_ok) continue;
+    const bool global = start >= 2 && text.substr(start - 2, 2) == "::";
+    std::size_t open = end;
+    while (open < text.size() && text[open] == ' ') ++open;
+    const std::size_t close =
+        open < text.size() && text[open] == '(' ? text.find(')', open) : std::string_view::npos;
+    const bool placement = global && close != std::string_view::npos &&
+                           text.substr(open, close - open).find("nothrow") == std::string_view::npos;
+    if (!placement) return true;
   }
   return false;
 }
@@ -371,11 +397,14 @@ void check_line_tokens(const std::string& path, std::size_t lineno,
     }
   }
   // Direct heap allocation in the packet/event subsystems. Deleted special
-  // members ("= delete") are declarations, not allocations.
+  // members ("= delete") are declarations, not allocations; nor is an
+  // #include of <new> or a placement new.
   if (in_alloc_hot_path(path) && stripped.find("= delete") == std::string::npos &&
-      stripped.find("=delete") == std::string::npos) {
+      stripped.find("=delete") == std::string::npos && trim(stripped).rfind("#include", 0) != 0) {
     for (const char* tok : {"new", "delete", "make_shared"}) {
-      if (contains_token(stripped, tok)) {
+      const bool hit = std::string_view(tok) == "new" ? has_allocating_new(stripped)
+                                                     : contains_token(stripped, tok);
+      if (hit) {
         out.push_back({path, lineno, "hot-path-alloc",
                        std::string("'") + tok +
                            "' in a packet/event hot-path subsystem: per-packet "
