@@ -35,9 +35,6 @@ struct Flags {
   std::string exec_json_path;
   std::string exec_trace_path;
   std::string exec_dashboard_path;
-  bool mem = false;
-  std::string mem_json_path;
-  std::string mem_dashboard_path;
   bool list = false;
   std::string case_filter;
   // Parallelism/reproducibility knobs stay unset here; ParallelOptions
@@ -59,9 +56,7 @@ void usage(const char* argv0) {
                "          [--ts-json <path>] [--dashboard <path>]\n"
                "          [--audit] [--audit-json <path>]\n"
                "          [--exec-profile] [--exec-json <path>]\n"
-               "          [--exec-trace <path>] [--exec-dashboard <path>]\n"
-               "          [--mem-profile] [--mem-json <path>]\n"
-               "          [--mem-dashboard <path>]\n",
+               "          [--exec-trace <path>] [--exec-dashboard <path>]\n",
                argv0);
 }
 
@@ -154,18 +149,6 @@ std::optional<Flags> parse_flags(int argc, char** argv) {
       if (!v) return std::nullopt;
       f.exec_dashboard_path = v;
       f.exec = true;
-    } else if (arg == "--mem-profile") {
-      f.mem = true;
-    } else if (arg == "--mem-json") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.mem_json_path = v;
-      f.mem = true;
-    } else if (arg == "--mem-dashboard") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.mem_dashboard_path = v;
-      f.mem = true;
     } else if (arg == "--profile") {
       f.profile = true;
     } else if (arg == "--heartbeat") {
@@ -259,7 +242,6 @@ core::SweepResult Harness::scenario(const core::ScenarioSpec& spec, const Render
   opts.timeseries_seconds = timeseries_seconds_;
   opts.audit = audit_requested_;
   opts.exec = exec_requested_;
-  opts.mem = mem_requested_;
   // Trace/span collection assumes the serial backend's single dispatch
   // thread and forces the sharded backend off; --heartbeat does not (the
   // sharded coordinator ticks it between barrier windows).
@@ -275,7 +257,6 @@ core::SweepResult Harness::scenario(const core::ScenarioSpec& spec, const Render
     if (r.spans) spans_.merge(*r.spans);
     if (r.audit) audit_.merge(*r.audit);
     if (r.exec) exec_.merge(*r.exec);
-    if (r.mem) mem_.merge(*r.mem);
     if (r.timeseries && !r.timeseries->store().empty()) {
       std::string prefix = spec.name;
       const std::string label = result.points[r.point_index].label();
@@ -318,7 +299,6 @@ int run(int argc, char** argv, const Experiment& exp,
     if (*env != '\0' && std::string(env) != "0") h.audit_requested_ = true;
   }
   h.exec_requested_ = flags->exec;
-  h.mem_requested_ = flags->mem;
   h.spans_requested_ = !flags->chrome_trace_path.empty() || !flags->span_tree_path.empty() ||
                        flags->explain_flow.has_value();
   // An export flag without an explicit interval still needs samples.
@@ -524,44 +504,6 @@ int run(int argc, char** argv, const Experiment& exp,
         return 2;
       }
       os << sim::exec_dashboard(h.exec_, exp.id + " \xc2\xb7 " + exp.section);
-    }
-  }
-
-  if (h.mem_requested_) {
-    std::printf("mem profile: %llu events over %llu runs, peak %lld bytes "
-                "(%.1f/actor over %llu actors), %llu allocs (%.2f/event), "
-                "%zu sites\n",
-                static_cast<unsigned long long>(h.mem_.work()),
-                static_cast<unsigned long long>(h.mem_.runs()),
-                static_cast<long long>(h.mem_.peak_live_bytes()),
-                h.mem_.live_bytes_per_actor(),
-                static_cast<unsigned long long>(h.mem_.actor_count()),
-                static_cast<unsigned long long>(h.mem_.alloc_count()),
-                h.mem_.allocs_per_event(), h.mem_.sites().size());
-    if (!flags->mem_json_path.empty()) {
-      sim::JsonWriter w;
-      w.begin_object();
-      w.key("experiment").begin_object();
-      w.key("id").value(exp.id);
-      w.key("section").value(exp.section);
-      w.end_object();
-      w.key("mem").raw(h.mem_.report_json());
-      w.end_object();
-      std::ofstream os(flags->mem_json_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n", flags->mem_json_path.c_str());
-        return 2;
-      }
-      os << w.str() << "\n";
-    }
-    if (!flags->mem_dashboard_path.empty()) {
-      std::ofstream os(flags->mem_dashboard_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n",
-                     flags->mem_dashboard_path.c_str());
-        return 2;
-      }
-      os << sim::mem_dashboard(h.mem_, exp.id + " \xc2\xb7 " + exp.section);
     }
   }
 

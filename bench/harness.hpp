@@ -55,18 +55,6 @@
 //                       JSON, loadable in Perfetto (implies --exec-profile)
 //   --exec-dashboard <p>  write the exec report as a self-contained HTML
 //                       dashboard (implies --exec-profile)
-//   --mem-profile       run every simulator under the memory profiler
-//                       (sim/mem_profile.hpp): per-component allocation
-//                       sites and live bytes, object lifetimes in sim
-//                       time, pointer-chase/locality scores, per-shard
-//                       footprint. Sim-deterministic units only, so the
-//                       report is byte-identical at any --jobs/--shards.
-//                       Attaches a fail-soft auditor for footprint
-//                       attribution when --audit was not also given.
-//   --mem-json <p>      write the merged memory report as JSON (implies
-//                       --mem-profile); byte-identical at any --jobs
-//   --mem-dashboard <p> write the memory report as a self-contained HTML
-//                       dashboard (implies --mem-profile)
 //
 // Determinism contract: metric output is bit-identical for a given
 // (--seed, --replicas) at any --jobs, because each run draws from
@@ -156,14 +144,6 @@ class Harness {
   /// was given.
   bool exec_requested() const noexcept { return exec_requested_; }
 
-  /// The merged memory profile across every profiled run (run-index
-  /// order); empty unless a --mem flag was given. Scenario bodies opt in
-  /// via ctx.instrument(sim). Sim-deterministic throughout, so the merged
-  /// report is byte-identical at any --jobs and --shards.
-  sim::MemProfiler& mem() noexcept { return mem_; }
-  /// True when --mem-profile/--mem-json/--mem-dashboard was given.
-  bool mem_requested() const noexcept { return mem_requested_; }
-
   /// Adds to the run's total simulated-event count for engines that run
   /// outside the sweep bodies (sweep runs report via ctx.add_events()).
   void add_events(std::size_t n) noexcept { extra_events_ += n; }
@@ -192,12 +172,10 @@ class Harness {
   sim::TimeSeriesStore timeseries_;
   sim::ShardAuditor audit_;
   sim::ExecProfiler exec_;
-  sim::MemProfiler mem_;
   double timeseries_seconds_ = 0;  ///< 0 = no recorders
   bool spans_requested_ = false;
   bool audit_requested_ = false;
   bool exec_requested_ = false;
-  bool mem_requested_ = false;
   std::vector<Case> cases_;
   std::size_t extra_events_ = 0;
   std::size_t sweep_events_ = 0;

@@ -112,22 +112,6 @@ void RunContext::instrument(sim::Simulator& sim) {
     sim.set_auditor(audit_);
   }
   if (exec_ != nullptr) sim.set_exec_profiler(exec_);
-  if (mem_ != nullptr) {
-    sim.set_mem_profiler(mem_);
-    // The sweep engine's own per-run state is part of the footprint the
-    // million-actor refactor has to carry; account it like any component.
-    mem_->count_alloc("core.sweep_run", sizeof(RunResult));
-    if (timeseries_ != nullptr) {
-      // Satellite gauges: memory over sim time rides the same dashboard as
-      // every other series. Probes fire only while the body samples, so
-      // the captured simulator reference cannot outlive its run.
-      sim::Simulator* s = &sim;
-      timeseries_->probe("mem.live_bytes",
-                         [s] { return static_cast<double>(s->mem_live_bytes()); });
-      timeseries_->probe("sim.queue_depth",
-                         [s] { return static_cast<double>(s->events_pending()); });
-    }
-  }
   // --trace installs its JSONL sink on the process-global tracer, but
   // components built on this simulator log to its own per-run tracer;
   // mirror the global configuration so their records land in the same
@@ -275,17 +259,6 @@ SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts) {
         if (opts.exec) {
           slot.exec = std::make_unique<sim::ExecProfiler>();
           ctx.exec_ = slot.exec.get();
-        }
-        if (opts.mem) {
-          slot.mem = std::make_unique<sim::MemProfiler>();
-          ctx.mem_ = slot.mem.get();
-          if (!slot.audit) {
-            // Per-shard footprint attribution rides the auditor's claim;
-            // fail-soft so profiling never turns into policing.
-            slot.audit = std::make_unique<sim::ShardAuditor>();
-            slot.audit->set_fail_fast(false);
-            ctx.audit_ = slot.audit.get();
-          }
         }
         if (serial) ctx.heartbeat_seconds_ = opts.heartbeat_seconds;
         ctx.shards_ = opts.shards;

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "sim/exec_profile.hpp"
-#include "sim/mem_profile.hpp"
 #include "sim/profiler.hpp"
 #include "sim/random.hpp"
 #include "sim/shard_audit.hpp"
@@ -151,15 +150,6 @@ class RunContext {
   /// files rather than in .metrics.
   sim::ExecProfiler* exec() noexcept { return exec_; }
 
-  /// This run's memory profiler, or nullptr unless SweepOptions::mem was
-  /// set. instrument() attaches it to the simulator (plus a fail-soft
-  /// auditor when --audit did not create one, so per-shard
-  /// footprint attribution always works) and registers live-bytes /
-  /// queue-depth gauges on the run's TimeSeriesRecorder when one exists.
-  /// Each run profiles into its own instance, merged in run-index order —
-  /// so merged exports are byte-identical at any --jobs and --shards.
-  sim::MemProfiler* mem() noexcept { return mem_; }
-
  private:
   friend SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts);
 
@@ -178,7 +168,6 @@ class RunContext {
   sim::TimeSeriesRecorder* timeseries_ = nullptr;
   sim::ShardAuditor* audit_ = nullptr;
   sim::ExecProfiler* exec_ = nullptr;
-  sim::MemProfiler* mem_ = nullptr;
 };
 
 /// A declarative experiment case: what to run, over which parameter points,
@@ -220,11 +209,6 @@ struct SweepOptions {
   /// afterwards in run-index order). Wall-clock runtime observability —
   /// the merged aggregates are exempt from the byte-identity contract.
   bool exec = false;
-  /// Give each run its own MemProfiler via RunContext::mem() (merged
-  /// afterwards in run-index order; sim-deterministic, so merged exports
-  /// are byte-identical at any --jobs and --shards). Implies a fail-soft
-  /// ShardAuditor when audit is off.
-  bool mem = false;
   /// In-run parallelism: when > 0, RunContext::instrument() installs a
   /// sim::ShardedBackend with this many worker threads on the run's
   /// simulator (1 exercises the full barrier machinery on one worker —
@@ -249,14 +233,11 @@ struct RunResult {
   std::unique_ptr<sim::SpanTracer> spans;
   /// Per-run time series; null unless SweepOptions::timeseries_seconds > 0.
   std::unique_ptr<sim::TimeSeriesRecorder> timeseries;
-  /// Per-run shard audit; null unless SweepOptions::audit or ::mem was
-  /// set (mem auto-creates a fail-soft one for shard attribution).
+  /// Per-run shard audit; null unless SweepOptions::audit was set.
   std::unique_ptr<sim::ShardAuditor> audit;
   /// Per-run execution (wall-clock) profile; null unless
   /// SweepOptions::exec was set.
   std::unique_ptr<sim::ExecProfiler> exec;
-  /// Per-run memory profile; null unless SweepOptions::mem was set.
-  std::unique_ptr<sim::MemProfiler> mem;
 };
 
 struct SweepResult {

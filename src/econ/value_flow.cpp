@@ -21,13 +21,6 @@ void Ledger::transfer(const std::string& from, const std::string& to, double amo
                                 "'): value must flow between distinct parties");
   }
   if (auditor_ != nullptr) auditor_->record_shared_access("econ.ledger", "transfer");
-  if (mem_ != nullptr) {
-    // The log entry retains its strings for the life of the ledger: the
-    // allocation is never freed, which is exactly what the live-bytes
-    // trajectory should show. Sized before memo is moved below.
-    mem_->count_alloc("econ.ledger_entry",
-                      sizeof(Entry) + from.size() + to.size() + memo.size());
-  }
   balances_[from] -= amount;
   balances_[to] += amount;
   sim::SpanId cause = sim::kNoSpan;

@@ -12,7 +12,6 @@
 #include <unordered_map>
 
 #include "net/address.hpp"
-#include "sim/mem_profile.hpp"
 
 namespace tussle::net {
 
@@ -20,50 +19,17 @@ namespace tussle::net {
 using IfIndex = int;
 inline constexpr IfIndex kNoIface = -1;
 
-/// Modeled heap footprint of one installed route: the hash-map node (key,
-/// value, bucket link) — a fixed model constant, like
-/// sim::kEventControlBlockBytes, so route accounting never depends on a
-/// library's container layout.
-inline constexpr std::uint64_t kFibEntryBytes = 64;
-
 class ForwardingTable {
  public:
-  void set_prefix_route(const Prefix& p, IfIndex iface) {
-    auto [it, inserted] = prefixes_.try_emplace(p, iface);
-    if (!inserted) {
-      it->second = iface;
-    } else if (mem_ != nullptr) {
-      mem_->count_alloc("net.fib_entry", kFibEntryBytes);
-    }
-  }
-  void erase_prefix_route(const Prefix& p) {
-    if (prefixes_.erase(p) != 0 && mem_ != nullptr) {
-      mem_->count_free("net.fib_entry", kFibEntryBytes);
-    }
-  }
-  void set_as_route(AsId as, IfIndex iface) {
-    auto [it, inserted] = as_routes_.try_emplace(as, iface);
-    if (!inserted) {
-      it->second = iface;
-    } else if (mem_ != nullptr) {
-      mem_->count_alloc("net.fib_entry", kFibEntryBytes);
-    }
-  }
+  void set_prefix_route(const Prefix& p, IfIndex iface) { prefixes_[p] = iface; }
+  void erase_prefix_route(const Prefix& p) { prefixes_.erase(p); }
+  void set_as_route(AsId as, IfIndex iface) { as_routes_[as] = iface; }
   void set_default_route(IfIndex iface) noexcept { default_ = iface; }
   void clear() {
-    if (mem_ != nullptr) {
-      const std::uint64_t n = prefixes_.size() + as_routes_.size();
-      if (n > 0) mem_->count_free("net.fib_entry", n * kFibEntryBytes);
-    }
     prefixes_.clear();
     as_routes_.clear();
     default_ = kNoIface;
   }
-
-  /// Attach-or-null route accounting (Node::forwarding() refreshes this on
-  /// every mutating access, so the pointer tracks the executing context's
-  /// profiler lane under sharded execution).
-  void set_mem_profiler(sim::MemProfiler* mem) noexcept { mem_ = mem; }
 
   /// Longest-match equivalent for our two-level hierarchy: exact prefix
   /// first, then the address's provider AS, then the default route.
@@ -80,7 +46,6 @@ class ForwardingTable {
   std::unordered_map<Prefix, IfIndex> prefixes_;
   std::unordered_map<AsId, IfIndex> as_routes_;
   IfIndex default_ = kNoIface;
-  sim::MemProfiler* mem_ = nullptr;
 };
 
 }  // namespace tussle::net

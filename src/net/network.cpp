@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "sim/exec_backend.hpp"
-#include "sim/mem_profile.hpp"
 #include "sim/shard_audit.hpp"
 
 namespace tussle::sim {
@@ -104,9 +103,6 @@ bool Link::transmit_from(NodeId sender, Packet p) {
   }
   if (!up_) {
     net_->counters().dropped_link_down.add();
-    if (auto* mp = net_->mem_profiler()) {
-      mp->packet_dropped(p.uid, net_->simulator().now());
-    }
     TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
                        "net.link", "drop", {"reason", "link-down"}, {"uid", p.uid},
                        {"flow", p.flow}, {"link", id_}, {"node", sender});
@@ -118,19 +114,11 @@ bool Link::transmit_from(NodeId sender, Packet p) {
   const FlowId flow = p.flow;
   if (!d.queue->enqueue(std::move(p))) {
     net_->counters().dropped_queue.add();
-    if (auto* mp = net_->mem_profiler()) {
-      mp->packet_dropped(uid, net_->simulator().now());
-    }
     TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
                        "net.link", "drop", {"reason", "queue-full"}, {"uid", uid},
                        {"flow", flow}, {"link", id_}, {"node", sender});
     span_link_drop(net_->spans(), net_->simulator().now(), uid, "queue-full", id_, sender);
     return false;
-  }
-  if (auto* mp = net_->mem_profiler()) {
-    // Link-queue occupancy after the enqueue: the container the arena/SoA
-    // refactor would turn into a ring buffer.
-    mp->note_occupancy("net.link_queue", d.queue->packets());
   }
   TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kDebug,
                      "net.link", "enqueue", {"uid", uid}, {"flow", flow}, {"link", id_},
@@ -165,9 +153,6 @@ void Link::start_transmission(Direction& d) {
                                    [this, to, pkt = std::move(pkt)]() mutable {
       if (!up_) {
         net_->counters().dropped_link_down.add();
-        if (auto* mp = net_->mem_profiler()) {
-          mp->packet_dropped(pkt.uid, net_->simulator().now());
-        }
         span_link_drop(net_->spans(), net_->simulator().now(), pkt.uid, "link-down", id_, to);
         return;
       }
@@ -235,7 +220,6 @@ NodeId Network::add_node(AsId as) {
   // logical process (a no-op on the serial backend).
   sim_->register_owner(static_cast<sim::ShardId>(as));
   if (auto* au = auditor()) au->register_component("net.node", id, as);
-  if (auto* mp = mem_profiler()) mp->register_actor("net.node", sizeof(Node));
   return id;
 }
 
@@ -253,7 +237,6 @@ Link& Network::connect(NodeId a, NodeId b, double bits_per_second, sim::Duration
   sim_->register_lookahead(static_cast<sim::ShardId>(node(a).as()),
                            static_cast<sim::ShardId>(node(b).as()), propagation);
   if (auto* au = auditor()) au->register_component("net.link", id, link_shard(*this, a, b));
-  if (auto* mp = mem_profiler()) mp->register_actor("net.link", sizeof(Link));
   return *links_.back();
 }
 
@@ -264,7 +247,6 @@ void Network::notify_delivered(const Packet& p, NodeId at) {
   if (auto* au = auditor()) au->record_shared_access("net.counters", "deliver");
   NetCounters& ctr = counters();  // owner lane under sharded execution
   ctr.delivered.add();
-  if (auto* mp = mem_profiler()) mp->packet_delivered(p.uid, sim_->now());
   const double latency_s = sim_->now().as_seconds() - p.sent_at_s;
   ctr.delivery_latency_s.observe(latency_s);
   TUSSLE_TRACE_EVENT(tracer(), sim_->now(), sim::TraceLevel::kInfo, "net.node", "deliver",

@@ -155,13 +155,6 @@ class Network {
   /// mutation — the same contract as spans().
   sim::ShardAuditor* auditor() const noexcept { return sim_->auditor(); }
 
-  /// Memory profiler, read through the owning simulator like the auditor.
-  /// add_node/connect register actor footprints, the data plane records
-  /// packet birth/death lifetimes, drop sites, link-queue occupancy, and
-  /// FIB pointer-chase depth. Null (the default) costs one pointer load +
-  /// branch per hook point.
-  sim::MemProfiler* mem_profiler() const noexcept { return sim_->mem_profiler(); }
-
   /// Observers invoked on every successful local delivery, after the node's
   /// own handler. Scenarios use them for global accounting; several can
   /// coexist (a FlowTracker plus a scenario counter, say).

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/network.hpp"
-#include "sim/mem_profile.hpp"
 #include "sim/shard_audit.hpp"
 
 namespace tussle::net {
@@ -75,9 +74,6 @@ void Node::renumber(std::vector<Address> addrs) {
 
 ForwardingTable& Node::forwarding() {
   audit_mutation("forwarding");
-  // Refresh the route-accounting hook from the executing context (base
-  // profiler during setup, the owner's lane inside a sharded worker event).
-  fib_.set_mem_profiler(net_->mem_profiler());
   return fib_;
 }
 
@@ -119,11 +115,6 @@ void Node::originate(Packet p) {
   p.uid = net_->packet_ids().next();
   p.sent_at_s = net_->simulator().now().as_seconds();
   net_->counters().originated.add();
-  if (auto* mp = net_->mem_profiler()) {
-    // Birth of the packet's one identity: encapsulation and mirroring keep
-    // the uid, so the lifetime closes exactly once, at deliver or drop.
-    mp->packet_birth(p.uid, net_->simulator().now(), sizeof(Packet) + p.size_bytes);
-  }
   if (auto* sp = net_->spans()) {
     const sim::SpanId ps = sp->packet_span(net_->simulator().now(), p.uid, p.flow);
     sp->annotate(ps, {"origin", id_});
@@ -200,7 +191,6 @@ void Node::receive(Packet p) {
   if (blocked) {
     if (decision.action == FilterAction::kDrop) {
       net_->counters().dropped_filter.add();
-      if (auto* mp = net_->mem_profiler()) mp->packet_dropped(p.uid, now);
       TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
                          "net.node", "drop", {"reason", "filter:" + decision.reason},
                          {"uid", p.uid}, {"flow", p.flow}, {"node", id_},
@@ -236,13 +226,6 @@ void Node::receive(Packet p) {
     // Tunnel endpoint: unwrap and keep going with the inner packet.
     if (p.inner) {
       if (auto inner = p.decapsulate()) {
-        if (auto* mp = net_->mem_profiler()) {
-          // Decapsulation copies the inner packet out of its shared_ptr:
-          // transient churn, allocated and freed within the event. The
-          // packet identity (uid) survives, so no lifetime closes here.
-          mp->count_alloc("net.packet.decap", sizeof(Packet));
-          mp->count_free("net.packet.decap", sizeof(Packet));
-        }
         forward(std::move(*inner));
         return;
       }
@@ -254,7 +237,6 @@ void Node::receive(Packet p) {
 
   if (p.ttl == 0) {
     net_->counters().dropped_ttl.add();
-    if (auto* mp = net_->mem_profiler()) mp->packet_dropped(p.uid, now);
     TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
                        "net.node", "drop", {"reason", "ttl"}, {"uid", p.uid},
                        {"flow", p.flow}, {"node", id_});
@@ -275,10 +257,6 @@ void Node::forward(Packet p) {
   if (owns(p.dst)) {
     if (p.inner) {
       if (auto inner = p.decapsulate()) {
-        if (auto* mp = net_->mem_profiler()) {
-          mp->count_alloc("net.packet.decap", sizeof(Packet));
-          mp->count_free("net.packet.decap", sizeof(Packet));
-        }
         forward(std::move(*inner));
         return;
       }
@@ -286,13 +264,6 @@ void Node::forward(Packet p) {
     if (local_handler_) local_handler_(p);
     net_->notify_delivered(p, id_);
     return;
-  }
-
-  if (auto* mp = net_->mem_profiler()) {
-    // One FIB lookup chases node -> fib -> prefix bucket -> entry ->
-    // interface: the pointer-chase the SoA/arena refactor would flatten.
-    mp->note_hops("net.forward", 4);
-    mp->note_occupancy("net.fib", fib_.prefix_entries() + fib_.as_entries());
   }
 
   std::optional<IfIndex> iface;

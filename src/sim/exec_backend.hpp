@@ -17,10 +17,9 @@
 //
 //  * ExecCtx — the per-thread execution context. Under the sharded
 //    backend every worker event runs with a context installed; Simulator
-//    accessors (now(), rng(), auditor(), mem_profiler()) resolve
-//    through it so component code is backend-agnostic. Serial execution
-//    never installs one, so the serial hot path pays a single
-//    thread-local load per accessor call.
+//    accessors (now(), rng(), auditor()) resolve through it so component
+//    code is backend-agnostic. Serial execution never installs one, so the
+//    serial hot path pays a single thread-local load per accessor call.
 //
 //  * shard_lane<T>() — per-owner copies of shared sink objects (packet
 //    counters, id sources, ...). Under the sharded backend each owner
@@ -56,7 +55,6 @@ struct ExecCtx {
   SimTime now{};
   Rng* rng = nullptr;               ///< stream to serve Simulator::rng()
   ShardAuditor* auditor = nullptr;  ///< lane to serve Simulator::auditor()
-  MemProfiler* mem = nullptr;       ///< lane to serve Simulator::mem_profiler()
   ShardId owner = kNoShard;
   bool control = false;  ///< true while a barrier-phase control event runs
 };
@@ -120,12 +118,6 @@ class ExecutionBackend {
   /// step throw std::logic_error.
   virtual bool step() = 0;
 
-  /// Modeled live bytes across every attached MemProfiler instance: the
-  /// base profiler here; the sharded backend adds its per-owner lanes
-  /// (safe from control events — workers are parked at the barrier).
-  /// 0 when no profiler is attached.
-  virtual std::int64_t mem_live_bytes() const;
-
  protected:
   explicit ExecutionBackend(Simulator& sim) noexcept : sim_(&sim) {}
   Simulator& sim() noexcept { return *sim_; }
@@ -160,7 +152,7 @@ class ExecutionBackend {
 
 /// Today's dispatch loop: one global (time, sequence) order exactly as the
 /// pre-split Simulator ran it, with the loop profiler, heartbeat, auditor
-/// and mem profiler hooks.
+/// and schedule/cancel counter hooks.
 class SerialBackend final : public ExecutionBackend {
  public:
   explicit SerialBackend(Simulator& sim) noexcept : ExecutionBackend(sim) {}

@@ -28,7 +28,7 @@
 // Determinism contract — the explicit EXCEPTION. Everything here is
 // wall-clock data and therefore nondeterministic run to run: exec reports
 // are exempt from the byte-identity contract that covers metrics, spans,
-// time series, audit, and mem exports. The harness emits them to their
+// time series and audit exports. The harness emits them to their
 // own files (--exec-json/--exec-trace/--exec-dashboard), never into the
 // .metrics object, and detlint's wall-clock check keeps the list of
 // modules allowed to read the wall clock to exactly the audited set this
@@ -52,7 +52,7 @@ class ExecProfiler {
   /// Chrome trace (aggregates stay complete) so long runs stay bounded.
   static constexpr std::size_t kMaxSliceWindows = 512;
   /// Modeled bytes per cross-owner message (control block + payload
-  /// handle), the same estimate as sim::kEventControlBlockBytes.
+  /// handle).
   static constexpr std::uint64_t kMsgBytes = 96;
 
   /// One worker's share of one barrier window (seconds of wall time).
@@ -238,7 +238,7 @@ std::string exec_chrome_trace(const ExecProfiler& ep);
 
 /// Self-contained zero-JS HTML dashboard: stat tiles, worker timeline
 /// gantt, window-occupancy histogram, and per-worker stall breakdown —
-/// same idiom as mem_dashboard / timeseries_dashboard.
+/// same idiom as timeseries_dashboard.
 std::string exec_dashboard(const ExecProfiler& ep, const std::string& title);
 
 }  // namespace tussle::sim

@@ -1,6 +1,6 @@
 // Shared pieces of the observability reports: the log2 histogram bucket
-// and the zero-JS HTML/SVG dashboard helpers. The mem, exec and
-// time-series dashboards all format through these, so every report
+// and the zero-JS HTML/SVG dashboard helpers. The exec and time-series
+// dashboards both format through these, so every report
 // escapes text and prints numbers the same way, byte for byte.
 #pragma once
 

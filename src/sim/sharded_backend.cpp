@@ -88,14 +88,14 @@ ShardedBackend::Lp& ShardedBackend::lp_for(ShardId owner) {
 
 EventId ShardedBackend::push_control(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   const EventId id = control_.push(at, std::move(action), tag);
-  if (MemProfiler* mm = mem_hook()) mm->on_schedule(id.value, base_now(), at, tag);
+  if (MemProfiler* mm = mem_hook()) mm->on_schedule();
   return id;
 }
 
 EventId ShardedBackend::push_direct(Lp& lp, SimTime at, TaskTag tag,
                                     EventQueue::Action&& action) {
   const EventId id = lp.queue.push(at, std::move(action), tag);
-  if (MemProfiler* mm = mem_hook()) mm->on_schedule(id.value, base_now(), at, tag);
+  if (MemProfiler* mm = mem_hook()) mm->on_schedule();
   return id;
 }
 
@@ -105,7 +105,7 @@ EventId ShardedBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action&& a
     // A worker event scheduling for its own owner: plain per-owner push.
     Lp& lp = *static_cast<Lp*>(c->lp);
     const EventId id = lp.queue.push(at, std::move(action), tag);
-    if (mem_hook() != nullptr) lp.mem.on_schedule(id.value, c->now, at, tag);
+    if (mem_hook() != nullptr) lp.mem.on_schedule();
     return id;
   }
   // Setup code or a control event: global work runs on the control queue at
@@ -129,7 +129,7 @@ EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
   Lp& src = *static_cast<Lp*>(c->lp);
   if (owner == src.owner) {
     const EventId id = src.queue.push(at, std::move(action), tag);
-    if (mem_hook() != nullptr) src.mem.on_schedule(id.value, c->now, at, tag);
+    if (mem_hook() != nullptr) src.mem.on_schedule();
     return id;
   }
 
@@ -157,7 +157,6 @@ EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
   m.src = src.owner;
   m.seq = seq;
   m.tag = tag;
-  m.sent = c->now;
   m.action = std::move(action);
   // A synthetic, non-cancellable id: the destination assigns the real one
   // when it drains the inbox.
@@ -172,7 +171,7 @@ bool ShardedBackend::cancel(EventId id) {
   if (owner_p1 == 0) {
     if (worker) return false;  // the control queue belongs to the coordinator
     const bool ok = control_.cancel(id);
-    if (ok && mem_hook() != nullptr) mem_hook()->on_cancel(id.value, base_now());
+    if (ok && mem_hook() != nullptr) mem_hook()->on_cancel();
     return ok;
   }
   const auto it = index_.find(static_cast<ShardId>(owner_p1 - 1));
@@ -181,14 +180,9 @@ bool ShardedBackend::cancel(EventId id) {
   if (worker && c->lp != &lp) return false;  // cross-owner cancel would race
   const bool ok = lp.queue.cancel(id);
   if (ok && mem_hook() != nullptr) {
-    // Route like the schedule did: worker pushes recorded in the lane,
-    // setup/control pushes (push_direct) in the base profiler — so the
-    // pending-event bookkeeping (lifetime + control-block free) matches.
-    if (worker) {
-      lp.mem.on_cancel(id.value, c->now);
-    } else {
-      mem_hook()->on_cancel(id.value, base_now());
-    }
+    // A worker counts into its own owner's lane; setup and control code
+    // count into the attached counter directly.
+    (worker ? &lp.mem : mem_hook())->on_cancel();
   }
   return ok;
 }
@@ -210,14 +204,12 @@ bool ShardedBackend::step() {
 std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
                                        ExecProfiler::WorkerLane* xl) {
   const bool audit = auditor_hook() != nullptr;
-  const bool mem = mem_hook() != nullptr;
   const bool prof = profiler_hook() != nullptr;
   ExecCtx ctx;
   ctx.sim = &sim();
   ctx.lp = &lp;
   ctx.rng = &lp.rng;
   ctx.auditor = audit ? &lp.audit : nullptr;
-  ctx.mem = mem ? &lp.mem : nullptr;
   ctx.owner = lp.owner;
   CtxGuard guard(&ctx);
   std::size_t n = 0;
@@ -227,7 +219,6 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
     lp.lp_now = ev.time;
     ctx.now = ev.time;
     if (audit) lp.audit.begin_event(ev.time, ev.tag);
-    if (mem) lp.mem.begin_event(ev.id.value, ev.time, lp.queue.size(), ev.tag);
     if (prof) {
       const double t0 = wall_now_seconds();
       ev.action();
@@ -235,8 +226,6 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
     } else {
       ev.action();
     }
-    // The mem profiler reads the auditor's claim before end_event resets it.
-    if (mem) lp.mem.end_event(audit ? lp.audit.current() : kNoShard);
     if (audit) lp.audit.end_event();
     ++lp.executed;
     ++n;
@@ -293,8 +282,8 @@ void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLa
   }
   const bool mem = mem_hook() != nullptr;
   for (Msg* m : dst.inbox) {
-    const EventId id = dst.queue.push(m->at, std::move(m->action), m->tag);
-    if (mem) dst.mem.on_schedule(id.value, m->sent, m->at, m->tag);
+    dst.queue.push(m->at, std::move(m->action), m->tag);
+    if (mem) dst.mem.on_schedule();
   }
   clear_inbox(index);
 }
@@ -308,8 +297,8 @@ void ShardedBackend::drain_control_inbox() {
   if (control_inbox_.empty()) return;
   MemProfiler* const mm = mem_hook();
   for (Msg* m : control_inbox_) {
-    const EventId id = control_.push(m->at, std::move(m->action), m->tag);
-    if (mm != nullptr) mm->on_schedule(id.value, m->sent, m->at, m->tag);
+    control_.push(m->at, std::move(m->action), m->tag);
+    if (mm != nullptr) mm->on_schedule();
   }
   clear_inbox(index);
 }
@@ -324,14 +313,12 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
   const double xt1 = ex != nullptr ? wall_now_seconds() : 0;
   std::size_t n = 0;
   ShardAuditor* au = auditor_hook();
-  MemProfiler* mm = mem_hook();
   LoopProfiler* pr = profiler_hook();
   ExecCtx ctx;
   ctx.sim = &sim();
   ctx.control = true;
   ctx.rng = &base_rng();
   ctx.auditor = au;
-  ctx.mem = mm;
   CtxGuard guard(&ctx);
   while (!control_.empty() && control_.next_time() == tc && !stop_requested()) {
     auto ev = control_.pop();
@@ -341,7 +328,6 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
       au->begin_event(ev.time, ev.tag);
       au->declare_control_event(ev.tag.kind != nullptr ? ev.tag.kind : "control");
     }
-    if (mm != nullptr) mm->begin_event(ev.id.value, ev.time, control_.size(), ev.tag);
     if (pr != nullptr) {
       const double t0 = wall_now_seconds();
       ev.action();
@@ -349,7 +335,6 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
     } else {
       ev.action();
     }
-    if (mm != nullptr) mm->end_event(au != nullptr ? au->current() : kNoShard);
     if (au != nullptr) au->end_event();
     ++n;
   }
@@ -384,14 +369,6 @@ void* shard_lane_raw(Simulator& sim, void* base, LaneMakeFn make, LaneFoldFn fol
   return backend->lane(base, make, fold, destroy);
 }
 
-std::int64_t ShardedBackend::mem_live_bytes() const {
-  std::int64_t total = ExecutionBackend::mem_live_bytes();
-  if (mem_hook() != nullptr) {
-    for (const auto& lp : lps_) total += lp->mem.live_bytes();
-  }
-  return total;
-}
-
 void ShardedBackend::fold_state_lanes() {
   // Ascending owner order (lps_ is sorted), so merged results never depend
   // on the shard count. Folds reset the lane, so they are incremental.
@@ -403,7 +380,8 @@ void ShardedBackend::fold_state_lanes() {
 void ShardedBackend::merge_observability() {
   // Unlike state lanes, the profiling sinks merge once per run (their merge
   // semantics treat each source as a completed run), so this happens at the
-  // end of run() only, again in ascending owner order.
+  // end of run() only, again in ascending owner order. The schedule/cancel
+  // counter merges here too: it is a plain sum, read only after run().
   ShardAuditor* au = auditor_hook();
   MemProfiler* mm = mem_hook();
   LoopProfiler* pr = profiler_hook();

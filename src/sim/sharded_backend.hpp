@@ -37,7 +37,7 @@
 //
 // Shared sinks (packet counters, id sources, auditor, profilers) never
 // see concurrent writers: workers accumulate into per-owner lanes
-// (shard_lane<T>, plus built-in auditor/mem/loop-profiler lanes) and
+// (shard_lane<T>, plus built-in auditor/counter/loop-profiler lanes) and
 // the coordinator folds them in ascending owner order — at control
 // events for state lanes, at the end of run() for observability — so
 // merged output is shard-count-independent.
@@ -87,10 +87,6 @@ class ShardedBackend final : public ExecutionBackend {
   std::size_t run(SimTime horizon) override;
   /// Not meaningful under parallel execution; throws std::logic_error.
   bool step() override;
-  /// Base profiler plus every owner lane. Callers must be the coordinator
-  /// or a control event (workers are parked, so lane reads are ordered by
-  /// the barrier).
-  std::int64_t mem_live_bytes() const override;
 
   std::size_t shard_count() const noexcept { return shards_; }
   std::size_t owner_count() const noexcept { return lps_.size(); }
@@ -108,7 +104,6 @@ class ShardedBackend final : public ExecutionBackend {
     ShardId src = kNoShard;
     std::uint64_t seq = 0;  ///< per-source send counter: the canonical tiebreak
     TaskTag tag;
-    SimTime sent;
     EventQueue::Action action;
   };
 
@@ -134,7 +129,7 @@ class ShardedBackend final : public ExecutionBackend {
     std::vector<Msg*> inbox;
     std::map<const void*, LaneEntry> lanes;  ///< shard_lane<T> storage
     ShardAuditor audit;                      ///< lane when a base auditor is attached
-    MemProfiler mem;                         ///< lane when a base mem profiler is attached
+    MemProfiler mem;                         ///< lane when a schedule/cancel counter is attached
     LoopProfiler prof;                       ///< lane when a base loop profiler is attached
     std::size_t executed = 0;
     std::exception_ptr error;

@@ -34,10 +34,6 @@ ShardAuditor* ExecutionBackend::auditor_hook() const noexcept { return sim_->aud
 ExecProfiler* ExecutionBackend::exec_hook() const noexcept { return sim_->exec_; }
 MemProfiler* ExecutionBackend::mem_hook() const noexcept { return sim_->mem_; }
 
-std::int64_t ExecutionBackend::mem_live_bytes() const {
-  return sim_->mem_ != nullptr ? sim_->mem_->live_bytes() : 0;
-}
-
 bool ExecutionBackend::heartbeat_active() const noexcept {
   return static_cast<bool>(sim_->heartbeat_);
 }
@@ -96,28 +92,14 @@ EventId Simulator::schedule_at(SimTime at, TaskTag tag, EventQueue::Action actio
 
 EventId Simulator::serial_schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   const EventId id = queue_.push(at, std::move(action), tag);
-  if (mem_ != nullptr) mem_note_schedule(id, at, tag);
+  if (mem_ != nullptr) mem_->on_schedule();
   return id;
 }
 
 bool Simulator::serial_cancel(EventId id) {
   const bool cancelled = queue_.cancel(id);
-  if (cancelled && mem_ != nullptr) mem_note_cancel(id);
+  if (cancelled && mem_ != nullptr) mem_->on_cancel();
   return cancelled;
-}
-
-void Simulator::mem_note_schedule(EventId id, SimTime at, const TaskTag& tag) {
-  mem_->on_schedule(id.value, now_, at, tag);
-}
-
-void Simulator::mem_note_cancel(EventId id) { mem_->on_cancel(id.value, now_); }
-
-void Simulator::mem_begin(const EventQueue::Popped& ev) {
-  mem_->begin_event(ev.id.value, now_, queue_.size(), ev.tag);
-}
-
-void Simulator::mem_end() {
-  mem_->end_event(auditor_ != nullptr ? auditor_->current() : kNoShard);
 }
 
 void Simulator::schedule_every(Duration period, std::function<bool()> action) {
@@ -205,20 +187,8 @@ std::size_t Simulator::serial_run(SimTime horizon) {
   std::size_t n = 0;
   while (!queue_.empty() && !stopping_.load(std::memory_order_relaxed)) {
     if (queue_.next_time() > horizon) break;
-    auto ev = queue_.pop();
-    now_ = ev.time;
-    if (auditor_ != nullptr) auditor_->begin_event(now_, ev.tag);
-    if (mem_ != nullptr) mem_begin(ev);
-    if (instrumented_) {
-      dispatch_instrumented(ev);
-    } else {
-      ev.action();
-    }
-    // The mem profiler reads the auditor's claim before end_event resets it.
-    if (mem_ != nullptr) mem_end();
-    if (auditor_ != nullptr) auditor_->end_event();
+    dispatch_next();
     ++n;
-    ++executed_;
   }
   if (!stopping_.load(std::memory_order_relaxed) && now_ < horizon &&
       horizon != SimTime::max()) {
@@ -233,18 +203,7 @@ std::size_t Simulator::serial_run(SimTime horizon) {
 
 bool Simulator::serial_step() {
   if (queue_.empty()) return false;
-  auto ev = queue_.pop();
-  now_ = ev.time;
-  if (auditor_ != nullptr) auditor_->begin_event(now_, ev.tag);
-  if (mem_ != nullptr) mem_begin(ev);
-  if (instrumented_) {
-    dispatch_instrumented(ev);
-  } else {
-    ev.action();
-  }
-  if (mem_ != nullptr) mem_end();
-  if (auditor_ != nullptr) auditor_->end_event();
-  ++executed_;
+  dispatch_next();
   return true;
 }
 

@@ -10,10 +10,10 @@
 //    barrier-synchronized parallel execution, one logical process per
 //    owner (AS), byte-identical output at any shard count.
 //
-// Component code stays backend-agnostic: now()/rng()/auditor()/
-// mem_profiler() resolve through the per-thread ExecCtx when a sharded
-// worker is dispatching, and fall back to the simulator's own state
-// otherwise (one thread-local load per call on the serial path).
+// Component code stays backend-agnostic: now()/rng()/auditor() resolve
+// through the per-thread ExecCtx when a sharded worker is dispatching, and
+// fall back to the simulator's own state otherwise (one thread-local load
+// per call on the serial path).
 //
 // Observability hooks (all off by default, one branch per event when off):
 //  - set_profiler() attributes each dispatched event's wall-clock cost to
@@ -176,30 +176,11 @@ class Simulator {
     return auditor_;
   }
 
-  /// Attaches (or detaches, with nullptr) the memory profiler. Dispatch
-  /// then reports schedule/cancel/dispatch transitions so it can account
-  /// event-control-block churn and lifetimes; components report packet
-  /// births/deaths, actor registrations, and pointer-chase hops through it
-  /// (see sim/mem_profile.hpp). Works best with an auditor attached too —
-  /// per-shard footprints come from the auditor's claim registry. Not
-  /// owned. Uninstrumented runs pay one null-pointer branch per schedule
-  /// and per event. Inside a sharded worker event the accessor returns the
-  /// worker's per-owner lane.
-  void set_mem_profiler(MemProfiler* mem) noexcept {
-    mem_ = mem;
-  }
-  MemProfiler* mem_profiler() const noexcept {
-    const ExecCtx* c = current_exec_ctx();
-    if (c != nullptr && c->sim == this) return c->mem;
-    return mem_;
-  }
-
-  /// Modeled live bytes currently attributed to this simulator's attached
-  /// memory profiler(s): the base profiler under serial execution, base
-  /// plus every owner lane under the sharded backend (safe to read from
-  /// control events — workers are parked). 0 when none is attached. The
-  /// --dashboard "mem.live_bytes" gauge samples this.
-  std::int64_t mem_live_bytes() const { return backend_->mem_live_bytes(); }
+  /// Attaches (or detaches, with nullptr) the schedule/cancel counter
+  /// (sim/mem_profile.hpp); it counts from attachment on. Not owned.
+  /// Detached runs pay one null-pointer branch per schedule and per
+  /// successful cancel, never per dispatch.
+  void set_mem_profiler(MemProfiler* mem) noexcept { mem_ = mem; }
 
   /// Attaches (or detaches, with nullptr) the execution profiler, which
   /// records the runtime's own wall-clock behavior (barrier windows, worker
@@ -236,6 +217,20 @@ class Simulator {
 
   void run_repeating(Duration period, TaskTag tag,
                      const std::shared_ptr<std::function<bool()>>& action);
+  /// Pops and runs the next event: the one dispatch body serial_run and
+  /// serial_step share. The queue must not be empty.
+  void dispatch_next() {
+    auto ev = queue_.pop();
+    now_ = ev.time;
+    if (auditor_ != nullptr) auditor_->begin_event(now_, ev.tag);
+    if (instrumented_) {
+      dispatch_instrumented(ev);
+    } else {
+      ev.action();
+    }
+    if (auditor_ != nullptr) auditor_->end_event();
+    ++executed_;
+  }
   void dispatch_instrumented(EventQueue::Popped& ev);
   void maybe_heartbeat();
   /// Shared heartbeat emitter: advances next_heartbeat_ past `sim_now` and
@@ -243,13 +238,6 @@ class Simulator {
   /// barrier window by the sharded coordinator (via the backend accessors).
   void emit_heartbeat(SimTime sim_now, std::size_t executed_total,
                       std::size_t queue_depth);
-  /// Out-of-line mem-profiler notifications (MemProfiler is an incomplete
-  /// type here).
-  void mem_note_schedule(EventId id, SimTime at, const TaskTag& tag);
-  void mem_note_cancel(EventId id);
-  void mem_begin(const EventQueue::Popped& ev);
-  void mem_end();
-
   // The pre-split dispatch loop, verbatim; SerialBackend forwards here.
   EventId serial_schedule(SimTime at, TaskTag tag, EventQueue::Action&& action);
   bool serial_cancel(EventId id);

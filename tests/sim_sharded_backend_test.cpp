@@ -163,7 +163,7 @@ TEST(ShardedBackend, ControlOnlyRoundRunsOnCoordinator) {
   // Setup-context schedule() lands on the control queue; the control event
   // runs between windows and may inject owner work via schedule_for.
   Simulator sim(1);
-  ShardedBackend& sb = install_sharded(sim, 2);
+  install_sharded(sim, 2);
   sim.register_owner(4);
   sim.register_owner(6);
   sim.register_lookahead(4, 6, Duration::millis(1));

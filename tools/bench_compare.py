@@ -33,16 +33,6 @@ tracer, shard auditor) honest about their disabled-path cost: the hot
 loops bench_micro times run with every such pointer null, so a throughput
 drop means the "one null-pointer branch per hook site" contract broke.
 
-Memory reports (bench harness --mem-json, recognised by their "mem" key)
-are compared in MEM mode, normally against the committed MEM_PROFILE.json
-(pass it as --baseline). All MEM_TRACKED fields are compared exactly and
-drift is reported; live_bytes_per_actor and allocs_per_event additionally
-gate — growth beyond --max-regression fails, since those two are the
-per-unit memory headlines the million-actor refactor budgets against
-(footprint per actor and allocator churn per dispatched event). They are
-model quantities (kind-constant unit sizes x deterministic counts), never
-RSS, so for a fixed invocation they are exactly reproducible anywhere.
-
 Harness reports carry "sim_events": null when no simulator ran (sim-less
 model benches). Those entries are flagged as ungated rather than silently
 passing; a null where the baseline has a real count fails the gate, since
@@ -118,20 +108,6 @@ METRIC_GATES: dict[str, list[str]] = {
 # has no harness "experiment" — all its benchmarks live under this one key.
 MICRO_ID = "MICRO"
 
-# Memory-report fields compared exactly (model quantities: kind-constant
-# unit sizes times deterministic counts, never RSS). The two gated ones are
-# the per-unit headlines the million-actor refactor budgets against:
-# live_bytes_per_actor (steady footprint per registered actor) and
-# allocs_per_event (allocator churn per dispatched event — the number the
-# arena/SoA work must drive toward zero). Growth beyond --max-regression
-# fails; everything else drifting is reported as a scenario change.
-MEM_GATED = ("live_bytes_per_actor", "allocs_per_event")
-MEM_TRACKED = MEM_GATED + (
-    "work", "runs", "peak_live_bytes", "actor_count", "alloc_count",
-    "sites",
-)
-
-
 def load_report(path: str) -> dict:
     with open(path) as f:
         d = json.load(f)
@@ -144,59 +120,12 @@ def load_report(path: str) -> dict:
         if not d.get("experiment", {}).get("id"):
             raise ValueError(f"{path}: exec report with no experiment id")
         return d
-    if "mem" in d:  # harness --mem-json report
-        if not d.get("experiment", {}).get("id"):
-            raise ValueError(f"{path}: mem report with no experiment id")
-        return d
     for key in ("experiment", "wall_seconds", "total_events"):
         if key not in d:
             raise ValueError(f"{path}: not a harness report (missing {key!r})")
     if not d["experiment"].get("id"):
         raise ValueError(f"{path}: empty experiment id")
     return d
-
-
-def mem_summary(report: dict) -> dict:
-    """The MEM_TRACKED subset of a --mem-json report."""
-    m = report["mem"]
-    lb = m["live_bytes"]
-    return {
-        "work": m["work"],
-        "runs": m["runs"],
-        "peak_live_bytes": lb["peak"],
-        "actor_count": lb["actor_count"],
-        "live_bytes_per_actor": lb["per_actor"],
-        "alloc_count": lb["alloc_count"],
-        "allocs_per_event": lb["allocs_per_event"],
-        "sites": len(m.get("sites", [])),
-    }
-
-
-def compare_mem(bench_id: str, report: dict, base: dict,
-                max_regression: float) -> bool:
-    """MEM mode: exact-compare the tracked fields, gate the gated ones."""
-    failed = False
-    cur = mem_summary(report)
-    for name in MEM_TRACKED:
-        value, expected = cur.get(name), base.get(name)
-        if expected is None:
-            print(f"{bench_id}: mem.{name}: not in baseline — run with "
-                  f"--update to adopt it")
-            continue
-        if name in MEM_GATED:
-            growth = ((value - expected) / expected if expected else
-                      (0.0 if not value else float("inf")))
-            verdict = "REGRESSION" if growth > max_regression else "ok"
-            print(f"{bench_id}: mem.{name}: {value!r} vs baseline "
-                  f"{expected!r} ({growth:+.1%}) {verdict}")
-            if verdict == "REGRESSION":
-                failed = True
-        elif value != expected:
-            print(f"{bench_id}: mem.{name}: {value!r} vs baseline "
-                  f"{expected!r} — drifted (scenario change, not gated)")
-        else:
-            print(f"{bench_id}: mem.{name}: {value!r} ok")
-    return failed
 
 
 def compare_exec(bench_id: str, report: dict,
@@ -262,8 +191,6 @@ def summarize(report: dict) -> dict:
     bench_id = report["experiment"]["id"]
     if bench_id == MICRO_ID:
         return {"items_per_second": micro_throughputs(report)}
-    if "mem" in report:
-        return mem_summary(report)
     return {
         "wall_seconds": report["wall_seconds"],
         "total_events": report["total_events"],
@@ -374,10 +301,6 @@ def main() -> int:
                 if bench_id == MICRO_ID:
                     entry = {"experiment": bench_id,
                              "items_per_second": micro_throughputs(report)}
-                elif "mem" in report:
-                    s = mem_summary(report)
-                    entry = {"experiment": bench_id,
-                             "mem": {k: s[k] for k in MEM_GATED}}
                 else:
                     entry = {"experiment": bench_id,
                              "total_events": report["total_events"],
@@ -424,9 +347,6 @@ def main() -> int:
             continue
         if bench_id == MICRO_ID:
             failed |= compare_micro(report, base, args.max_regression)
-            continue
-        if "mem" in report:
-            failed |= compare_mem(bench_id, report, base, args.max_regression)
             continue
         cur_s, base_s = report["wall_seconds"], base["wall_seconds"]
         if max(cur_s, base_s) < args.min_seconds:

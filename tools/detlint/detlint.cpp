@@ -35,21 +35,10 @@
 //                      profiler, heartbeat, exec profiler) but never event
 //                      order or a simulated value, so each call site must be
 //                      audited and allowlisted with its data-flow argument.
-//   mem-wall-clock     the same wall-clock token list inside the memory
-//                      profiler (sim/mem_profile*): live-bytes, lifetimes,
-//                      and locality scores are model units attached to
-//                      simulated time — never RSS, never a malloc hook — so
-//                      MEM_PROFILE reports stay byte-identical at any
-//                      --jobs and --shards setting.
-//   mem-merge-order    hash containers inside the memory profiler: its
-//                      accumulation structures are iterated at merge and
-//                      export points, so every one must be an ordered
-//                      container — hash order would make the merged report
-//                      depend on the stdlib, not the seed.
 //   hot-path-alloc     raw `new`/`delete` or std::make_shared in src/net or
 //                      src/sim: the million-actor refactor (ROADMAP item 1)
 //                      moves per-packet and per-event churn into arenas and
-//                      pools, and the MemProfiler's allocs-per-event gate
+//                      pools, and tnbench's allocs_per_unit measurement
 //                      only binds if new churn cannot appear silently. Each
 //                      remaining direct allocation must be audited and
 //                      allowlisted with the reason it is not per-packet
@@ -274,13 +263,6 @@ bool in_timeseries_module(const std::string& path) {
   return path.find("sim/timeseries") != std::string::npos;
 }
 
-/// The memory profiler carries the same contract: every quantity in a
-/// MEM_PROFILE report (live bytes, lifetimes, locality scores) is a model
-/// unit attached to simulated time — never RSS, never a malloc hook.
-bool in_mem_module(const std::string& path) {
-  return path.find("sim/mem_profile") != std::string::npos;
-}
-
 bool in_hot_path(const std::string& path) {
   for (const char* dir : {"/sim/", "/net/", "/routing/", "/econ/"}) {
     if (path.find(dir) != std::string::npos) return true;
@@ -289,7 +271,8 @@ bool in_hot_path(const std::string& path) {
 }
 
 /// Where the hot-path-alloc check applies: the subsystems whose per-packet /
-/// per-event churn the MemProfiler meters and the arena refactor targets.
+/// per-event churn tnbench's allocs_per_unit measures and the arena refactor
+/// targets.
 bool in_alloc_hot_path(const std::string& path) {
   for (const char* dir : {"/sim/", "/net/"}) {
     if (path.find(dir) != std::string::npos) return true;
@@ -345,37 +328,10 @@ void check_line_tokens(const std::string& path, std::size_t lineno,
       }
     }
   }
-  if (in_mem_module(path)) {
-    for (std::string_view tok : kSpanWallClockTokens) {
-      if (contains_token(stripped, tok)) {
-        out.push_back({path, lineno, "mem-wall-clock",
-                       "wall-clock source '" + std::string(tok) +
-                           "' in the memory profiler: live-bytes, lifetimes, "
-                           "and locality scores are model units attached to "
-                           "simulated time — never RSS — or MEM_PROFILE "
-                           "reports diverge across runs, --jobs, and --shards "
-                           "settings",
-                       trim(raw)});
-      }
-    }
-    for (const char* tok : {"unordered_map", "unordered_set", "unordered_multimap",
-                            "unordered_multiset", "flat_hash_map", "flat_hash_set"}) {
-      if (contains_token(stripped, tok)) {
-        out.push_back({path, lineno, "mem-merge-order",
-                       std::string(tok) +
-                           " in the memory profiler: accumulation structures "
-                           "are iterated at merge/export points, so they must "
-                           "be ordered containers or the merged report depends "
-                           "on the stdlib's hash, not the seed",
-                       trim(raw)});
-        break;
-      }
-    }
-  }
-  // Every call site of the audited wall-clock helper. The span/timeseries/
-  // mem checks above already ban the token outright inside their modules,
-  // so skip those here — one line should not report twice.
-  if (!in_span_module(path) && !in_timeseries_module(path) && !in_mem_module(path) &&
+  // Every call site of the audited wall-clock helper. The span/timeseries
+  // checks above already ban the token outright inside their modules, so
+  // skip those here — one line should not report twice.
+  if (!in_span_module(path) && !in_timeseries_module(path) &&
       contains_token(stripped, "wall_now_seconds")) {
     out.push_back({path, lineno, "exec-wall-clock",
                    "wall_now_seconds call site: wall-clock readings may feed "
@@ -409,8 +365,8 @@ void check_line_tokens(const std::string& path, std::size_t lineno,
                        std::string("'") + tok +
                            "' in a packet/event hot-path subsystem: per-packet "
                            "or per-event heap churn is what the arena/pool "
-                           "refactor removes and the MemProfiler's "
-                           "allocs-per-event gate meters — audit the site and "
+                           "refactor removes and tnbench's allocs_per_unit "
+                           "measures — audit the site and "
                            "allowlist it with why it is not per-packet churn",
                        trim(raw)});
         break;
