@@ -84,9 +84,7 @@ void ExecProfiler::WorkerLane::owner_events(ShardId owner, std::uint64_t events)
 
 void ExecProfiler::WorkerLane::drained(ShardId src, ShardId dst, std::uint64_t events) {
   if (events == 0) return;
-  Volume& v = volumes_[{src, dst}];
-  v.events += events;
-  v.bytes += events * kMsgBytes;
+  volumes_[{src, dst}].events += events;
 }
 
 // --------------------------------------------------------------- recording --
@@ -136,9 +134,7 @@ void ExecProfiler::record_fold(double seconds) { cur_.fold_seconds += seconds; }
 
 void ExecProfiler::record_drained(ShardId src, ShardId dst, std::uint64_t events) {
   if (events == 0) return;
-  Volume& v = cur_.volumes[{src, dst}];
-  v.events += events;
-  v.bytes += events * kMsgBytes;
+  cur_.volumes[{src, dst}].events += events;
 }
 
 void ExecProfiler::end_run() {
@@ -163,9 +159,7 @@ void ExecProfiler::end_run() {
       cur_.windows[r.window].owner_events[r.owner] += r.events;
     }
     for (const auto& [key, v] : lane.volumes_) {
-      Volume& dst = cur_.volumes[key];
-      dst.events += v.events;
-      dst.bytes += v.bytes;
+      cur_.volumes[key].events += v.events;
     }
   }
   lanes_.clear();
@@ -248,9 +242,7 @@ std::map<std::pair<ShardId, ShardId>, ExecProfiler::Volume> ExecProfiler::volume
   std::map<std::pair<ShardId, ShardId>, Volume> out;
   for (const auto& r : runs_) {
     for (const auto& [key, v] : r.volumes) {
-      Volume& dst = out[key];
-      dst.events += v.events;
-      dst.bytes += v.bytes;
+      out[key].events += v.events;
     }
   }
   return out;
@@ -391,7 +383,6 @@ std::string ExecProfiler::report_json() const {
     w.key("src").value(owner_label(key.first));
     w.key("dst").value(owner_label(key.second));
     w.key("events").value(v.events);
-    w.key("bytes").value(v.bytes);
     w.end_object();
   }
   w.end_array();

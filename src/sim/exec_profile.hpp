@@ -11,7 +11,7 @@
 //   lane fold     — folding per-owner state lanes before control events,
 //
 // plus window occupancy (events dispatched against the lookahead horizon),
-// per-(src, dst) outbox message/byte volumes, and per-jthread busy/idle
+// per-(src, dst) outbox message volumes, and per-jthread busy/idle
 // shares. The same hooks wrap the serial backend's dispatch loop (one
 // window per run() call, all of it dispatch on worker 0), so serial and
 // sharded runs export the same report schema.
@@ -51,9 +51,6 @@ class ExecProfiler {
   /// Wall-time slices beyond this many windows per run are dropped from the
   /// Chrome trace (aggregates stay complete) so long runs stay bounded.
   static constexpr std::size_t kMaxSliceWindows = 512;
-  /// Modeled bytes per cross-owner message (control block + payload
-  /// handle).
-  static constexpr std::uint64_t kMsgBytes = 96;
 
   /// One worker's share of one barrier window (seconds of wall time).
   struct WorkerSlice {
@@ -86,7 +83,6 @@ class ExecProfiler {
 
   struct Volume {
     std::uint64_t events = 0;
-    std::uint64_t bytes = 0;
   };
 
   /// One backend run() invocation.

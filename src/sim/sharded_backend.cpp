@@ -134,11 +134,12 @@ EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
   }
 
   // Cross-owner (or owner-less control) message from a worker event: park it
-  // in the per-destination outbox; the destination drains, sorts by
-  // (time, source owner, source sequence), and enqueues at the next barrier.
-  // This path is taken even when both owners share a worker — the event
-  // order a destination sees must be a function of the simulation, not of
-  // the owner-to-worker assignment.
+  // in this worker's outbox slot for the destination; the destination
+  // gathers every worker's slot, sorts by (time, source owner, source
+  // sequence), and enqueues at the next barrier. This path is taken even
+  // when both owners share a worker — the event order a destination sees
+  // must be a function of the simulation, not of the owner-to-worker
+  // assignment.
   std::size_t slot;
   if (owner == kNoShard || owner == kSharedShard) {
     slot = lps_.size();  // the control-queue inbox
@@ -152,7 +153,7 @@ EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
     slot = it->second;
   }
   const std::uint64_t seq = src.out_seq++;
-  Msg& m = src.outbox[slot].emplace_back();
+  Msg& m = (*src.outbox)[slot].emplace_back();
   m.at = at;
   m.src = src.owner;
   m.seq = seq;
@@ -240,13 +241,23 @@ void ShardedBackend::gather_inbox(std::size_t index, std::vector<Msg*>& order,
                                   OnSource on_source) {
   // Each outbox slot has exactly one reader (its destination's worker, or
   // the coordinator for the control slot) after the barrier, so the gather
-  // is race-free without locks.
+  // is race-free without locks. A worker runs each of its owners to
+  // completion within a window, so one source's messages are contiguous in
+  // a slot and each run is reported once.
   order.clear();
-  for (auto& src : lps_) {
-    auto& slot = src->outbox[index];
-    if (slot.empty()) continue;
-    on_source(src->owner, slot.size());
-    for (Msg& m : slot) order.push_back(&m);
+  for (auto& outbox : outboxes_) {
+    ShardId run_src = kNoShard;
+    std::size_t run_n = 0;
+    for (Msg& m : outbox[index]) {
+      if (m.src != run_src) {
+        if (run_n != 0) on_source(run_src, run_n);
+        run_src = m.src;
+        run_n = 0;
+      }
+      ++run_n;
+      order.push_back(&m);
+    }
+    if (run_n != 0) on_source(run_src, run_n);
   }
   // Sorting pointers leaves the messages (and their closures) in place.
   std::sort(order.begin(), order.end(), [](const Msg* a, const Msg* b) {
@@ -257,7 +268,7 @@ void ShardedBackend::gather_inbox(std::size_t index, std::vector<Msg*>& order,
 }
 
 void ShardedBackend::clear_inbox(std::size_t index) {
-  for (auto& src : lps_) src->outbox[index].clear();
+  for (auto& outbox : outboxes_) outbox[index].clear();
 }
 
 void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLane* xl) {
@@ -344,10 +355,8 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
 
 // ------------------------------------------------------------------ lanes --
 
-void* ShardedBackend::lane(void* base, LaneMakeFn make, LaneFoldFn fold,
+void* ShardedBackend::lane(Lp& lp, void* base, LaneMakeFn make, LaneFoldFn fold,
                            LaneDestroyFn destroy) {
-  ExecCtx* c = current_exec_ctx();
-  Lp& lp = *static_cast<Lp*>(c->lp);
   auto it = lp.lanes.find(base);
   if (it == lp.lanes.end()) {
     LaneEntry e;
@@ -362,11 +371,12 @@ void* ShardedBackend::lane(void* base, LaneMakeFn make, LaneFoldFn fold,
 
 void* shard_lane_raw(Simulator& sim, void* base, LaneMakeFn make, LaneFoldFn fold,
                      LaneDestroyFn destroy) {
+  // Only ShardedBackend installs a context with `lp` set, so a non-null
+  // `lp` is one of its logical processes.
   ExecCtx* c = current_exec_ctx();
   if (c == nullptr || c->sim != &sim || c->lp == nullptr) return nullptr;
-  auto* backend = dynamic_cast<ShardedBackend*>(&sim.backend());
-  if (backend == nullptr) return nullptr;
-  return backend->lane(base, make, fold, destroy);
+  return ShardedBackend::lane(*static_cast<ShardedBackend::Lp*>(c->lp), base, make, fold,
+                              destroy);
 }
 
 void ShardedBackend::fold_state_lanes() {
@@ -412,10 +422,14 @@ std::size_t ShardedBackend::run(SimTime horizon) {
     audit_fail_fast_ = auditor_hook()->fail_fast();
     for (auto& lp : lps_) lp->audit.set_fail_fast(audit_fail_fast_);
   }
-  const std::size_t control_slot = lps_.size();
-  for (auto& lp : lps_) {
-    if (lp->outbox.size() != control_slot + 1) lp->outbox.resize(control_slot + 1);
-    lp->error = nullptr;
+  // One outbox array per worker, each with a slot per owner plus the
+  // control slot; owner i runs on worker i % nw and appends to its array.
+  const std::size_t nw = std::min(shards_, lps_.size());
+  outboxes_.resize(nw);
+  for (auto& outbox : outboxes_) outbox.resize(lps_.size() + 1);
+  for (std::size_t i = 0; i < lps_.size(); ++i) {
+    lps_[i]->outbox = &outboxes_[i % nw];
+    lps_[i]->error = nullptr;
   }
 
   const std::int64_t max_ns = SimTime::max().as_nanos();
@@ -426,7 +440,6 @@ std::size_t ShardedBackend::run(SimTime horizon) {
   for (const auto& lp : lps_) start_executed += lp->executed;
   std::size_t control_n = 0;
 
-  const std::size_t nw = std::min(shards_, lps_.size());
   std::atomic<bool> failed{false};
   std::barrier sync(static_cast<std::ptrdiff_t>(nw) + 1);
   done_ = false;

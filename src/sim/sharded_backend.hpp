@@ -21,11 +21,18 @@
 //
 // Cross-owner scheduling NEVER touches another owner's queue directly —
 // not even at k = 1, not even between owners on the same worker. Each
-// schedule_for() to a different owner appends to a per-(source, dest)
-// outbox; at the window barrier every destination drains its inboxes,
-// sorts arrivals by (time, source owner, source sequence), and only then
-// enqueues them. The per-owner event order is therefore a pure function
-// of the simulation, not of sharding. An arrival earlier than work its
+// worker has one outbox array indexed by destination slot (one slot per
+// owner plus one for the control queue); schedule_for() to a different
+// owner appends to the executing worker's slot for that destination. At
+// the window barrier every destination gathers its slot from each of the
+// workers, so a drain costs O(workers + arrivals) per owner rather than
+// one read per source owner. One worker's slot mixes the messages of all
+// its source owners, in an order that depends on which owners share the
+// worker; but every message carries (time, source owner, source
+// sequence), a total key because each source numbers its own sends, and
+// the destination sorts its arrivals by that key before enqueueing them.
+// The per-owner event order is therefore a pure function of the
+// simulation, not of sharding. An arrival earlier than work its
 // destination already executed means the producer undercut the declared
 // lookahead; the drain throws.
 //
@@ -97,8 +104,8 @@ class ShardedBackend final : public ExecutionBackend {
   std::size_t windows_run() const noexcept { return windows_; }
 
   // ----------------------------------------------------------- internals --
-  /// A cross-owner message parked in a per-(src, dest) outbox until the
-  /// window barrier.
+  /// A cross-owner message parked in a worker's outbox slot for its
+  /// destination until the window barrier.
   struct Msg {
     SimTime at;
     ShardId src = kNoShard;
@@ -122,9 +129,9 @@ class ShardedBackend final : public ExecutionBackend {
     SimTime lp_now{};
     Rng rng{1};
     std::uint64_t out_seq = 0;
-    /// outbox[i] buffers messages for lps_[i]; the last slot buffers
-    /// messages for the control queue. Sized at run() start.
-    std::vector<std::vector<Msg>> outbox;
+    /// The executing worker's outbox array (set at run() start): slot i
+    /// buffers messages for lps_[i], the last slot for the control queue.
+    std::vector<std::vector<Msg>>* outbox = nullptr;
     /// Reused drain scratch: this owner's arrivals, sorted by pointer.
     std::vector<Msg*> inbox;
     std::map<const void*, LaneEntry> lanes;  ///< shard_lane<T> storage
@@ -137,8 +144,9 @@ class ShardedBackend final : public ExecutionBackend {
     ~Lp();
   };
 
-  /// Lane lookup/creation for the calling worker (see shard_lane<T>).
-  void* lane(void* base, LaneMakeFn make, LaneFoldFn fold, LaneDestroyFn destroy);
+  /// Lane lookup/creation for the owner `lp` (see shard_lane<T>).
+  static void* lane(Lp& lp, void* base, LaneMakeFn make, LaneFoldFn fold,
+                    LaneDestroyFn destroy);
 
  private:
   Lp& lp_for(ShardId owner);  ///< creates pre-run; throws for unknown owners mid-run
@@ -147,11 +155,12 @@ class ShardedBackend final : public ExecutionBackend {
   /// Dispatches lp's events inside the window; returns how many ran. `xl`
   /// is the calling worker's exec-profiler lane (nullptr when detached).
   std::size_t process_lp(Lp& lp, SimTime window_end, ExecProfiler::WorkerLane* xl);
-  /// Gathers inbox `index` (slot `index` of every source outbox) into
+  /// Gathers inbox `index` (slot `index` of every worker's outbox) into
   /// `order` in canonical arrival order — (time, source owner, source
   /// sequence), a pure function of the simulation — calling
-  /// `on_source(src_owner, count)` for each non-empty source. The messages
-  /// stay in the outboxes until clear_inbox(index).
+  /// `on_source(src_owner, count)` once per contiguous run of one source's
+  /// messages in a slot. The messages stay in the outboxes until
+  /// clear_inbox(index).
   template <typename OnSource>
   void gather_inbox(std::size_t index, std::vector<Msg*>& order, OnSource on_source);
   void clear_inbox(std::size_t index);
@@ -163,6 +172,9 @@ class ShardedBackend final : public ExecutionBackend {
 
   std::size_t shards_ = 1;
   std::vector<std::unique_ptr<Lp>> lps_;  ///< ascending owner order
+  /// outboxes_[w][slot]: worker w's messages for lps_[slot] (the last slot
+  /// is the control queue's). Sized at run() start; capacity persists.
+  std::vector<std::vector<std::vector<Msg>>> outboxes_;
   std::map<ShardId, std::size_t> index_;  ///< owner -> position in lps_
   EventQueue control_;
   std::vector<Msg*> control_inbox_;  ///< drain_control_inbox scratch

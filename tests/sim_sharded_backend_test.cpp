@@ -9,12 +9,15 @@
 // and the restricted cancellation surface.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/network.hpp"
+#include "sim/exec_profile.hpp"
 #include "sim/sharded_backend.hpp"
 #include "sim/simulator.hpp"
 
@@ -103,6 +106,80 @@ TEST(ShardedBackend, MultiOwnerDeterministicAcrossShardCounts) {
   for (std::size_t k : {2u, 3u, 8u}) {
     EXPECT_EQ(ring_scenario(k), base) << "k=" << k;
   }
+}
+
+// Fan-in: 64 source owners each send kPerSink same-instant events to each
+// of three sink owners, so one worker's outbox slot for a sink interleaves
+// the messages of every source that worker ran. Sources start at two
+// instants in setup (ascending owner) order, so the serial backend's FIFO
+// order among equal times is the canonical (time, source, sequence) order.
+// Returns each sink's arrival log; shards == 0 runs the serial backend.
+std::vector<Log> fan_in_scenario(std::size_t shards, ExecProfiler* ep = nullptr) {
+  constexpr int kPerSink = 4;
+  Simulator sim(7);
+  if (shards > 0) install_sharded(sim, shards);
+  if (ep != nullptr) sim.set_exec_profiler(ep);
+  // Owners 1..67; the sinks sit among the sources so they land on
+  // different workers at every k.
+  const ShardId sinks[] = {6, 34, 65};
+  std::vector<ShardId> sources;
+  for (ShardId o = 1; o <= 67; ++o) {
+    sim.register_owner(o);
+    if (o != sinks[0] && o != sinks[1] && o != sinks[2]) sources.push_back(o);
+  }
+  EXPECT_EQ(sources.size(), 64u);
+  for (ShardId s : sources) {
+    for (ShardId sink : sinks) sim.register_lookahead(s, sink, Duration::millis(2));
+  }
+
+  std::vector<Log> logs(3);
+  for (ShardId s : sources) {
+    const Duration start = Duration::micros(1000 + 100 * (s % 2));
+    sim.schedule_for(s, start, TaskTag{"test", "fan"}, [&sim, &logs, &sinks, s] {
+      for (int k = 0; k < 3; ++k) {
+        for (int j = 0; j < kPerSink; ++j) {
+          sim.schedule_for(sinks[k], Duration::millis(2), TaskTag{"test", "arrive"},
+                           [&sim, &logs, k, s, j] {
+                             logs[k].emplace_back(
+                                 sim.now().as_nanos(),
+                                 "s" + std::to_string(s) + "." + std::to_string(j));
+                           });
+        }
+      }
+    });
+  }
+  EXPECT_EQ(sim.run(), 64u * (1 + 3 * kPerSink));
+  return logs;
+}
+
+std::map<std::pair<ShardId, ShardId>, std::uint64_t> volume_counts(const ExecProfiler& ep) {
+  std::map<std::pair<ShardId, ShardId>, std::uint64_t> out;
+  for (const auto& [key, v] : ep.volumes()) out[key] = v.events;
+  return out;
+}
+
+TEST(ShardedBackend, FanInOrderIsCanonicalAcrossShardCounts) {
+  const std::vector<Log> serial = fan_in_scenario(0);
+  for (const Log& log : serial) {
+    ASSERT_EQ(log.size(), 64u * 4u);
+    // Sources at the earlier instant arrive first, in ascending owner order.
+    EXPECT_EQ(log.front().second, "s2.0");
+    EXPECT_EQ(log.back().second, "s67.3");
+  }
+  for (std::size_t k : {1u, 2u, 3u, 8u}) {
+    EXPECT_EQ(fan_in_scenario(k), serial) << "k=" << k;
+  }
+
+  // Per-(src, dst) message volumes do not depend on how sources share a
+  // worker's outbox slot.
+  ExecProfiler one;
+  ExecProfiler three;
+  fan_in_scenario(1, &one);
+  fan_in_scenario(3, &three);
+  const auto vols = volume_counts(one);
+  ASSERT_EQ(vols.size(), 64u * 3u);
+  for (const auto& [key, n] : vols) EXPECT_EQ(n, 4u) << key.first << "->" << key.second;
+  EXPECT_EQ(volume_counts(three), vols);
 }
 
 TEST(ShardedBackend, ZeroLatencyDegradesToLockstep) {
