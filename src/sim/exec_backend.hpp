@@ -12,8 +12,8 @@
 //                     provisional shard), k worker threads, lookahead
 //                     windows from the static link-latency registry.
 //
-// Two pieces of shared vocabulary live here so both backends and the
-// components built on the simulator can speak it:
+// Shared vocabulary lives here so both backends and the components built
+// on the simulator can speak it (plus dispatch_event(), defined below):
 //
 //  * ExecCtx — the per-thread execution context. Under the sharded
 //    backend every worker event runs with a context installed; Simulator
@@ -34,13 +34,13 @@
 #include <memory>
 
 #include "sim/event_queue.hpp"
+#include "sim/profiler.hpp"
 #include "sim/shard_audit.hpp"
 #include "sim/time.hpp"
 
 namespace tussle::sim {
 
 class Simulator;
-class LoopProfiler;
 class ExecProfiler;
 class MemProfiler;
 class Rng;
@@ -138,9 +138,9 @@ class ExecutionBackend {
   ExecProfiler* exec_hook() const noexcept;
   MemProfiler* mem_hook() const noexcept;
   /// Heartbeat support for non-serial backends: true when a heartbeat is
-  /// configured, reset at run() start, and a tick the coordinator calls
-  /// between barrier windows (emits at most one line per heartbeat period
-  /// of sim-time; schedules nothing, so it cannot change the event order).
+  /// configured, reset at run() start, and a tick the sharded backend calls
+  /// as each window closes (emits at most one line per heartbeat period of
+  /// sim-time; schedules nothing, so it cannot change the event order).
   bool heartbeat_active() const noexcept;
   void heartbeat_begin_run() noexcept;
   void heartbeat_tick(SimTime sim_now, std::size_t executed_total,
@@ -149,6 +149,25 @@ class ExecutionBackend {
  private:
   Simulator* sim_;
 };
+
+/// The one event-dispatch body: the serial loop, a sharded owner's window
+/// and a sharded control round all call it. Runs one popped event between
+/// the auditor's begin/end brackets, timed by `profiler` when attached.
+/// `control` names a control event to the auditor (nullptr for owner and
+/// serial events). The caller sets the clock and counts the event.
+inline void dispatch_event(EventQueue::Popped& ev, ShardAuditor* auditor,
+                           LoopProfiler* profiler, const char* control = nullptr) {
+  if (auditor != nullptr) {
+    auditor->begin_event(ev.time, ev.tag);
+    if (control != nullptr) auditor->declare_control_event(control);
+  }
+  if (profiler != nullptr) {
+    profiler->timed(ev.tag, ev.action);
+  } else {
+    ev.action();
+  }
+  if (auditor != nullptr) auditor->end_event();
+}
 
 /// Today's dispatch loop: one global (time, sequence) order exactly as the
 /// pre-split Simulator ran it, with the loop profiler, heartbeat, auditor

@@ -5,11 +5,13 @@
 //
 //   dispatch      — executing the owner queues' events,
 //   outbox drain  — gathering/sorting/enqueueing cross-owner messages,
-//   barrier wait  — blocked at a window barrier (includes the coordinator's
-//                   inter-window work the workers must wait out),
-//   control batch — coordinator-run control events between windows,
+//   barrier wait  — blocked at either window barrier (the second wait
+//                   includes the between-window step the last arriver runs),
+//   control batch — control events that step runs between windows,
 //   lane fold     — folding per-owner state lanes before control events,
 //
+// so per worker and window, dispatch + drain + barrier spans the whole
+// window, from the previous window's close to this one's.
 // plus window occupancy (events dispatched against the lookahead horizon),
 // per-(src, dst) outbox message volumes, and per-jthread busy/idle
 // shares. The same hooks wrap the serial backend's dispatch loop (one
@@ -54,7 +56,7 @@ class ExecProfiler {
 
   /// One worker's share of one barrier window (seconds of wall time).
   struct WorkerSlice {
-    double barrier_s = 0;   ///< waiting for the window to open (A release)
+    double barrier_s = 0;   ///< both barrier waits, the second including the step
     double dispatch_s = 0;  ///< executing owner-queue events
     double drain_s = 0;     ///< draining/sorting/enqueueing inboxes
     double dispatch_start = -1;  ///< run-relative wall; -1 = slice capped
@@ -66,14 +68,14 @@ class ExecProfiler {
   struct Window {
     std::int64_t start_ns = 0;  ///< sim-time window [start, end)
     std::int64_t end_ns = 0;
-    double wall_start = -1;  ///< run-relative coordinator wall; -1 = capped
-    double elapsed = 0;      ///< coordinator wall from publish to barrier C
+    double wall_start = -1;  ///< run-relative wall at publish; -1 = capped
+    double elapsed = 0;      ///< wall from publish to the step that closes it
     std::uint64_t events = 0;
     std::vector<WorkerSlice> workers;
     std::map<ShardId, std::uint64_t> owner_events;  ///< validation replay input
   };
 
-  /// One coordinator control batch (between windows).
+  /// One control batch, run by the between-window step.
   struct ControlBatch {
     double wall_start = -1;  ///< run-relative; -1 = capped
     double fold_s = 0;       ///< lane fold preceding the batch
@@ -101,13 +103,12 @@ class ExecProfiler {
     std::map<std::pair<ShardId, ShardId>, Volume> volumes;
   };
 
-  /// Per-worker recording surface. Worker w writes only lane(w), strictly
-  /// between its barrier-A release and its barrier-C arrival; the
-  /// coordinator reads lanes only in end_run(), after the workers joined.
+  /// Per-worker recording surface. Worker w writes only lane(w); the
+  /// backend reads lanes only in end_run(), after the workers joined.
   class WorkerLane {
    public:
-    /// Closes this worker's current window (call once per window, before
-    /// arriving at barrier C). Wall starts are run-relative.
+    /// Closes this worker's current window (call once per window, after the
+    /// window's last barrier returns). Wall starts are run-relative.
     void window(double barrier_s, double dispatch_s, double drain_s,
                 double dispatch_start, double drain_start, std::uint64_t events);
     /// Events this worker dispatched for `owner` in the current window.
@@ -137,22 +138,23 @@ class ExecProfiler {
     std::map<std::pair<ShardId, ShardId>, Volume> volumes_;
   };
 
-  // --- recording: coordinator / backend thread only ------------------------
+  // --- recording: one thread at a time (the backend orders the calls) -----
   /// Opens a run record and sizes `workers` lanes. Returns the run-start
   /// wall time so the caller can compute run-relative offsets.
   double begin_run(const char* backend, std::size_t workers, std::int64_t lookahead_ns);
   /// Worker w's lane; stable for the whole run (no reallocation mid-run).
   WorkerLane& lane(std::size_t worker) { return lanes_[worker]; }
-  /// Coordinator brackets for one barrier window (outside barriers A..C).
+  /// Brackets for one barrier window: from its publish to the start of the
+  /// step that closes it.
   void begin_window(std::int64_t start_ns, std::int64_t end_ns);
   void end_window();
-  /// One coordinator control batch: the lane fold that preceded it, the
+  /// One control batch: the lane fold that preceded it, the
   /// batch itself, and how many control events ran.
   void record_control(double wall_start, double fold_s, double control_s,
                       std::uint64_t events);
   /// End-of-run lane fold / observability merge time.
   void record_fold(double seconds);
-  /// Coordinator-drained volume (the control-queue inbox, dst == kNoShard).
+  /// Volume drained into the control-queue inbox (dst == kNoShard).
   void record_drained(ShardId src, ShardId dst, std::uint64_t events);
   /// Closes the run: assembles windows from the worker lanes and retires
   /// the record. Error paths skip this; begin_run() discards partial state.
@@ -219,7 +221,7 @@ class ExecProfiler {
 
  private:
   std::vector<Run> runs_;
-  // In-flight run state (coordinator thread only).
+  // In-flight run state (recording calls only).
   bool in_run_ = false;
   Run cur_;
   double run_start_ = 0;
@@ -228,8 +230,9 @@ class ExecProfiler {
 };
 
 /// Chrome trace-event JSON: one process per run, one track per worker plus
-/// a coordinator track, wall-time "X" slices for dispatch/drain/control/
-/// fold/window (capped at ExecProfiler::kMaxSliceWindows per run).
+/// a "coordinator" track for the between-window step's window/control/fold
+/// slices; wall-time "X" slices throughout (capped at
+/// ExecProfiler::kMaxSliceWindows per run).
 std::string exec_chrome_trace(const ExecProfiler& ep);
 
 /// Self-contained zero-JS HTML dashboard: stat tiles, worker timeline

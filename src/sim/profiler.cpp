@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "sim/callback.hpp"
 #include "sim/json.hpp"
 
 namespace tussle::sim {
@@ -32,6 +33,12 @@ void LoopProfiler::record(const TaskTag& tag, double wall_seconds) noexcept {
     }
   }
   cells_.push_back(Cell{tag.component, tag.kind, 1, wall_seconds});
+}
+
+void LoopProfiler::timed(const TaskTag& tag, Callback& action) {
+  const double t0 = wall_now_seconds();
+  action();
+  record(tag, wall_now_seconds() - t0);
 }
 
 std::vector<LoopProfiler::Hotspot> LoopProfiler::hotspots(std::size_t k) const {

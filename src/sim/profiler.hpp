@@ -28,6 +28,8 @@ struct TaskTag {
   const char* kind = nullptr;
 };
 
+class Callback;
+
 class LoopProfiler {
  public:
   struct Hotspot {
@@ -43,6 +45,10 @@ class LoopProfiler {
   /// of previously-seen tags — tag sets are tiny (tens), and pointer
   /// comparison keeps the hot path allocation-free.
   void record(const TaskTag& tag, double wall_seconds) noexcept;
+
+  /// Runs `action` and records its wall time under `tag`. Out of line so
+  /// the untimed branch of every dispatch loop stays small.
+  void timed(const TaskTag& tag, Callback& action);
 
   std::uint64_t total_events() const noexcept { return total_events_; }
   double total_wall_seconds() const noexcept { return total_wall_; }

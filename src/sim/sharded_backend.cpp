@@ -170,7 +170,7 @@ bool ShardedBackend::cancel(EventId id) {
   ExecCtx* c = current_exec_ctx();
   const bool worker = c != nullptr && c->sim == &sim() && c->lp != nullptr;
   if (owner_p1 == 0) {
-    if (worker) return false;  // the control queue belongs to the coordinator
+    if (worker) return false;  // only quiescent code touches the control queue
     const bool ok = control_.cancel(id);
     if (ok && mem_hook() != nullptr) mem_hook()->on_cancel();
     return ok;
@@ -204,33 +204,24 @@ bool ShardedBackend::step() {
 
 std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
                                        ExecProfiler::WorkerLane* xl) {
-  const bool audit = auditor_hook() != nullptr;
-  const bool prof = profiler_hook() != nullptr;
+  ShardAuditor* const au = auditor_hook() != nullptr ? &lp.audit : nullptr;
+  LoopProfiler* const pr = profiler_hook() != nullptr ? &lp.prof : nullptr;
   ExecCtx ctx;
   ctx.sim = &sim();
   ctx.lp = &lp;
   ctx.rng = &lp.rng;
-  ctx.auditor = audit ? &lp.audit : nullptr;
+  ctx.auditor = au;
   ctx.owner = lp.owner;
   CtxGuard guard(&ctx);
   std::size_t n = 0;
-  while (!lp.queue.empty()) {
-    if (lp.queue.next_time() >= window_end) break;
+  while (!lp.queue.empty() && lp.queue.next_time() < window_end) {
     auto ev = lp.queue.pop();
     lp.lp_now = ev.time;
     ctx.now = ev.time;
-    if (audit) lp.audit.begin_event(ev.time, ev.tag);
-    if (prof) {
-      const double t0 = wall_now_seconds();
-      ev.action();
-      lp.prof.record(ev.tag, wall_now_seconds() - t0);
-    } else {
-      ev.action();
-    }
-    if (audit) lp.audit.end_event();
+    dispatch_event(ev, au, pr);
     ++lp.executed;
     ++n;
-    if (stop_requested()) break;  // finish no more events; the window still barriers
+    if (stop_requested()) break;  // finish no more events; the window still closes
   }
   if (xl != nullptr && n > 0) xl->owner_events(lp.owner, n);
   return n;
@@ -240,10 +231,10 @@ template <typename OnSource>
 void ShardedBackend::gather_inbox(std::size_t index, std::vector<Msg*>& order,
                                   OnSource on_source) {
   // Each outbox slot has exactly one reader (its destination's worker, or
-  // the coordinator for the control slot) after the barrier, so the gather
-  // is race-free without locks. A worker runs each of its owners to
-  // completion within a window, so one source's messages are contiguous in
-  // a slot and each run is reported once.
+  // the between-window step for the control slot) after the barrier, so
+  // the gather is race-free without locks. A worker runs each of its owners
+  // to completion within a window, so one source's messages are contiguous
+  // in a slot and each run is reported once.
   order.clear();
   for (auto& outbox : outboxes_) {
     ShardId run_src = kNoShard;
@@ -335,18 +326,7 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
     auto ev = control_.pop();
     set_base_now(ev.time);
     ctx.now = ev.time;
-    if (au != nullptr) {
-      au->begin_event(ev.time, ev.tag);
-      au->declare_control_event(ev.tag.kind != nullptr ? ev.tag.kind : "control");
-    }
-    if (pr != nullptr) {
-      const double t0 = wall_now_seconds();
-      ev.action();
-      pr->record(ev.tag, wall_now_seconds() - t0);
-    } else {
-      ev.action();
-    }
-    if (au != nullptr) au->end_event();
+    dispatch_event(ev, au, pr, ev.tag.kind != nullptr ? ev.tag.kind : "control");
     ++n;
   }
   if (ex != nullptr) ex->record_control(xt0, xt1 - xt0, wall_now_seconds() - xt1, n);
@@ -417,10 +397,8 @@ void ShardedBackend::merge_observability() {
 std::size_t ShardedBackend::run(SimTime horizon) {
   clear_stop();
   running_ = true;
-  const bool audit = auditor_hook() != nullptr;
-  if (audit) {
-    audit_fail_fast_ = auditor_hook()->fail_fast();
-    for (auto& lp : lps_) lp->audit.set_fail_fast(audit_fail_fast_);
+  if (const ShardAuditor* au = auditor_hook()) {
+    for (auto& lp : lps_) lp->audit.set_fail_fast(au->fail_fast());
   }
   // One outbox array per worker, each with a slot per owner plus the
   // control slot; owner i runs on worker i % nw and appends to its array.
@@ -439,32 +417,96 @@ std::size_t ShardedBackend::run(SimTime horizon) {
   std::size_t start_executed = 0;
   for (const auto& lp : lps_) start_executed += lp->executed;
   std::size_t control_n = 0;
-
   std::atomic<bool> failed{false};
-  std::barrier sync(static_cast<std::ptrdiff_t>(nw) + 1);
   done_ = false;
 
   // Execution profiler: workers time their slice of each window through a
-  // private lane; the coordinator brackets windows/control. Detached runs
-  // pay one null-pointer branch per window, never per event.
+  // private lane; the step brackets windows and control batches. Detached
+  // runs pay one null-pointer branch per window, never per event.
   ExecProfiler* const ex = exec_hook();
   const double run_wall = ex != nullptr ? ex->begin_run("sharded", nw, la_ns) : 0;
   const bool hb = heartbeat_active();
   if (hb) heartbeat_begin_run();
 
-  {
+  // The between-window step. This thread runs it once before any worker
+  // starts; after that it is window_closed's completion, run by whichever
+  // worker arrives last while the others are parked in the barrier, so it
+  // may touch every Lp. It closes the window just run, runs the control
+  // rounds due before the next owner event, then publishes the next window
+  // or sets done_. A barrier completion must not throw: an error is kept
+  // and rethrown once the workers have joined.
+  std::exception_ptr step_error;
+  bool window_open = false;
+  auto step = [&]() noexcept {
+    try {
+      if (window_open) {
+        window_open = false;
+        if (ex != nullptr) ex->end_window();
+        drain_control_inbox();
+        ++windows_;
+        if (hb) {
+          // Every owner has simulated through window_end_; the beat reports
+          // lifetime events including this run's so far.
+          std::size_t exec_now = 0;
+          for (const auto& lp : lps_) exec_now += lp->executed;
+          heartbeat_tick(window_end_,
+                         sim().events_executed() + control_n + (exec_now - start_executed),
+                         pending());
+        }
+      }
+      while (!stop_requested() && !failed.load(std::memory_order_relaxed)) {
+        // Next control time and next shard-event time decide the round kind.
+        const bool have_c = !control_.empty();
+        const SimTime tc = have_c ? control_.next_time() : SimTime::max();
+        bool have_q = false;
+        SimTime tq = SimTime::max();
+        for (const auto& lp : lps_) {
+          if (lp->queue.empty()) continue;
+          have_q = true;
+          tq = std::min(tq, lp->queue.next_time());
+        }
+        if ((!have_c && !have_q) || std::min(tc, tq) > horizon) break;
+        if (have_c && tc <= tq) {
+          // Control events run before shard events at the same instant, with
+          // every shard quiescent and all state lanes folded.
+          control_n += run_control_at(tc);
+          continue;
+        }
+        // Publish one barrier window [tq, window_end_).
+        const std::int64_t start_ns = tq.as_nanos();
+        std::int64_t end_ns = (max_ns - start_ns > la_ns) ? start_ns + la_ns : max_ns;
+        if (have_c) end_ns = std::min(end_ns, tc.as_nanos());
+        if (horizon != SimTime::max()) end_ns = std::min(end_ns, horizon.as_nanos() + 1);
+        window_end_ = SimTime::nanos(end_ns);
+        if (ex != nullptr) ex->begin_window(start_ns, end_ns);
+        window_open = true;
+        return;
+      }
+    } catch (...) {
+      step_error = std::current_exception();
+    }
+    done_ = true;
+  };
+
+  step();
+  if (!done_) {
+    // A window was published, so there is at least one owner and nw >= 1.
+    // outboxes_final orders every send of the window before any drain;
+    // window_closed orders every drain before the step, and the step before
+    // the next window's dispatch.
+    std::barrier outboxes_final(static_cast<std::ptrdiff_t>(nw));
+    std::barrier window_closed(static_cast<std::ptrdiff_t>(nw), step);
     std::vector<std::jthread> workers;
     workers.reserve(nw);
     for (std::size_t w = 0; w < nw; ++w) {
       ExecProfiler::WorkerLane* const xl = ex != nullptr ? &ex->lane(w) : nullptr;
-      workers.emplace_back([this, w, nw, &sync, &failed, xl, run_wall] {
-        while (true) {
-          // tA..t4 bracket this worker's window: barrier wait (includes the
-          // coordinator's inter-window work), dispatch, B-wait, drain.
-          const double tA = xl != nullptr ? wall_now_seconds() : 0;
-          sync.arrive_and_wait();  // A: window published
-          if (done_) return;
-          const double t1 = xl != nullptr ? wall_now_seconds() : 0;
+      workers.emplace_back([this, w, nw, &outboxes_final, &window_closed, &failed, xl,
+                            run_wall] {
+        do {
+          // The wall readings bracket this worker's window: dispatch, the
+          // wait for every outbox, drain, and the wait to close the window
+          // (which includes the step).
+          const double t0 = xl != nullptr ? wall_now_seconds() : 0;
           std::uint64_t events = 0;
           for (std::size_t i = w; i < lps_.size(); i += nw) {
             try {
@@ -474,9 +516,9 @@ std::size_t ShardedBackend::run(SimTime horizon) {
               failed.store(true, std::memory_order_relaxed);
             }
           }
+          const double t1 = xl != nullptr ? wall_now_seconds() : 0;
+          outboxes_final.arrive_and_wait();
           const double t2 = xl != nullptr ? wall_now_seconds() : 0;
-          sync.arrive_and_wait();  // B: all outboxes final for this window
-          const double t3 = xl != nullptr ? wall_now_seconds() : 0;
           for (std::size_t i = w; i < lps_.size(); i += nw) {
             try {
               drain_lp(i, *lps_[i], xl);
@@ -485,80 +527,16 @@ std::size_t ShardedBackend::run(SimTime horizon) {
               failed.store(true, std::memory_order_relaxed);
             }
           }
+          const double t3 = xl != nullptr ? wall_now_seconds() : 0;
+          window_closed.arrive_and_wait();
           if (xl != nullptr) {
-            const double t4 = wall_now_seconds();
-            xl->window((t1 - tA) + (t3 - t2), t2 - t1, t4 - t3, t1 - run_wall,
-                       t3 - run_wall, events);
+            xl->window((t2 - t1) + (wall_now_seconds() - t3), t1 - t0, t3 - t2,
+                       t0 - run_wall, t2 - run_wall, events);
           }
-          sync.arrive_and_wait();  // C: all queues consistent again
-        }
+        } while (!done_);
       });
     }
-
-    std::exception_ptr coordinator_error;
-    while (true) {
-      if (stop_requested() || failed.load(std::memory_order_relaxed)) break;
-      // Next control time and next shard-event time decide the round kind.
-      const bool have_c = !control_.empty();
-      const SimTime tc = have_c ? control_.next_time() : SimTime::max();
-      bool have_q = false;
-      SimTime tq = SimTime::max();
-      for (const auto& lp : lps_) {
-        if (lp->queue.empty()) continue;
-        have_q = true;
-        tq = std::min(tq, lp->queue.next_time());
-      }
-      if (!have_c && !have_q) break;
-      const SimTime tmin = std::min(tc, tq);
-      if (tmin > horizon) break;
-
-      if (have_c && tc <= tq) {
-        // Control events run before shard events at the same instant, with
-        // every shard quiescent and all state lanes folded.
-        try {
-          control_n += run_control_at(tc);
-        } catch (...) {
-          coordinator_error = std::current_exception();
-          break;
-        }
-        continue;
-      }
-
-      // One barrier window [tq, window_end_).
-      const std::int64_t start_ns = tq.as_nanos();
-      std::int64_t end_ns = (max_ns - start_ns > la_ns) ? start_ns + la_ns : max_ns;
-      if (have_c) end_ns = std::min(end_ns, tc.as_nanos());
-      if (horizon != SimTime::max()) end_ns = std::min(end_ns, horizon.as_nanos() + 1);
-      window_end_ = SimTime::nanos(end_ns);
-      if (ex != nullptr) ex->begin_window(start_ns, end_ns);
-      sync.arrive_and_wait();  // A
-      sync.arrive_and_wait();  // B
-      sync.arrive_and_wait();  // C
-      if (ex != nullptr) ex->end_window();
-      drain_control_inbox();
-      ++windows_;
-      if (hb) {
-        // Workers are parked at barrier A; barrier C ordered their writes,
-        // so reading per-owner progress here is race-free. Every owner has
-        // simulated through window_end_; the beat reports lifetime events
-        // including this run's so far.
-        std::size_t exec_now = 0;
-        for (const auto& lp : lps_) exec_now += lp->executed;
-        heartbeat_tick(window_end_,
-                       sim().events_executed() + control_n + (exec_now - start_executed),
-                       pending());
-      }
-    }
-
-    done_ = true;
-    sync.arrive_and_wait();  // release the workers; jthreads join on scope exit
-    if (coordinator_error != nullptr) {
-      running_ = false;
-      fold_state_lanes();
-      merge_observability();
-      std::rethrow_exception(coordinator_error);
-    }
-  }
+  }  // the jthreads join before the barriers they use are destroyed
 
   const double fold_wall = ex != nullptr ? wall_now_seconds() : 0;
   fold_state_lanes();
@@ -568,7 +546,7 @@ std::size_t ShardedBackend::run(SimTime horizon) {
     ex->record_fold(wall_now_seconds() - fold_wall);
     // Error paths skip end_run: a failed run's partial record is discarded
     // by the next begin_run rather than reported as a complete run.
-    if (!failed.load(std::memory_order_relaxed)) ex->end_run();
+    if (step_error == nullptr && !failed.load(std::memory_order_relaxed)) ex->end_run();
   }
 
   // Advance the global clock: the furthest any owner actually executed,
@@ -576,10 +554,9 @@ std::size_t ShardedBackend::run(SimTime horizon) {
   SimTime end_now = base_now();
   for (const auto& lp : lps_) end_now = std::max(end_now, lp->lp_now);
   set_base_now(end_now);
-  if (failed.load(std::memory_order_relaxed)) {
-    for (const auto& lp : lps_) {
-      if (lp->error != nullptr) std::rethrow_exception(lp->error);
-    }
+  if (step_error != nullptr) std::rethrow_exception(step_error);
+  for (const auto& lp : lps_) {
+    if (lp->error != nullptr) std::rethrow_exception(lp->error);
   }
   if (!stop_requested() && base_now() < horizon && horizon != SimTime::max()) {
     set_base_now(horizon);

@@ -36,16 +36,24 @@
 // destination already executed means the producer undercut the declared
 // lookahead; the drain throws.
 //
+// Each worker loops: dispatch its owners' window, wait at `outboxes_final`,
+// drain its owners' inboxes, wait at `window_closed`. The work between two
+// windows is one step, window_closed's completion function, run by the
+// last worker to arrive while every owner is quiescent: it closes the
+// window, runs the control rounds due, and publishes the next window or
+// ends the run. run()'s own thread runs it once first, so a control-only
+// run starts no thread.
+//
 // Events scheduled with no execution context (scenario setup) or from a
-// control event go to a *control queue* run on the coordinator thread
-// between windows, with every state lane folded first — control work
-// (route installation, time-series sampling) sees fully merged state,
-// matching the ShardAuditor's declare_control_event contract.
+// control event go to a *control queue* that the step runs between
+// windows, with every state lane folded first — control work (route
+// installation, time-series sampling) sees fully merged state, matching
+// the ShardAuditor's declare_control_event contract.
 //
 // Shared sinks (packet counters, id sources, auditor, profilers) never
 // see concurrent writers: workers accumulate into per-owner lanes
-// (shard_lane<T>, plus built-in auditor/counter/loop-profiler lanes) and
-// the coordinator folds them in ascending owner order — at control
+// (shard_lane<T>, plus built-in auditor/counter/loop-profiler lanes) that
+// are folded in ascending owner order — by the step before control
 // events for state lanes, at the end of run() for observability — so
 // merged output is shard-count-independent.
 #pragma once
@@ -82,7 +90,7 @@ class ShardedBackend final : public ExecutionBackend {
   EventId schedule_for(ShardId owner, SimTime at, TaskTag tag,
                        EventQueue::Action&& action) override;
 
-  /// Same-owner and coordinator-context cancellation only: a worker may
+  /// Same-owner and quiescent-context cancellation only: a worker may
   /// cancel its own owner's pending events; setup/control code may cancel
   /// anything still queued. Cross-owner cancels and inbox-routed ids
   /// return false — cancellation is state the owner must own.
@@ -122,7 +130,7 @@ class ShardedBackend final : public ExecutionBackend {
   };
 
   /// One owner's logical process. Mutated only by its worker inside a
-  /// window (or by the coordinator between barriers).
+  /// window (or by the between-window step).
   struct Lp {
     ShardId owner = kNoShard;
     EventQueue queue;
@@ -180,10 +188,9 @@ class ShardedBackend final : public ExecutionBackend {
   std::vector<Msg*> control_inbox_;  ///< drain_control_inbox scratch
   std::int64_t lookahead_ns_ = -1;  ///< min registered cross-owner latency; -1 = none
   bool running_ = false;
-  bool audit_fail_fast_ = true;
 
-  // Round state: written by the coordinator before the window barrier,
-  // read by workers after it (the barrier orders the accesses).
+  // Round state: written by the between-window step, read by workers after
+  // window_closed returns (the barrier orders the accesses).
   SimTime window_end_{};
   bool done_ = false;
   std::size_t windows_ = 0;

@@ -38,12 +38,7 @@ bool ExecutionBackend::heartbeat_active() const noexcept {
   return static_cast<bool>(sim_->heartbeat_);
 }
 
-void ExecutionBackend::heartbeat_begin_run() noexcept {
-  sim_->run_wall_start_ = wall_now_seconds();
-  sim_->last_beat_wall_ = sim_->run_wall_start_;
-  sim_->last_beat_events_ = sim_->executed_;
-  sim_->next_heartbeat_ = sim_->now_ + sim_->heartbeat_period_;
-}
+void ExecutionBackend::heartbeat_begin_run() noexcept { sim_->begin_heartbeat(); }
 
 void ExecutionBackend::heartbeat_tick(SimTime sim_now, std::size_t executed_total,
                                       std::size_t queue_depth) {
@@ -137,22 +132,15 @@ void Simulator::set_heartbeat(Duration period, HeartbeatFn fn) {
     };
   }
   next_heartbeat_ = now_ + heartbeat_period_;
-  instrumented_ = profiler_ != nullptr || static_cast<bool>(heartbeat_);
 }
 
-void Simulator::dispatch_instrumented(EventQueue::Popped& ev) {
-  if (profiler_ != nullptr) {
-    const double t0 = wall_now_seconds();
-    ev.action();
-    profiler_->record(ev.tag, wall_now_seconds() - t0);
-  } else {
-    ev.action();
-  }
-  if (heartbeat_ && now_ >= next_heartbeat_) maybe_heartbeat();
-}
+void Simulator::maybe_heartbeat() { emit_heartbeat(now_, executed_, queue_.size()); }
 
-void Simulator::maybe_heartbeat() {
-  emit_heartbeat(now_, executed_ + 1 /* the event being dispatched */, queue_.size());
+void Simulator::begin_heartbeat() noexcept {
+  run_wall_start_ = wall_now_seconds();
+  last_beat_wall_ = run_wall_start_;
+  last_beat_events_ = executed_;
+  next_heartbeat_ = now_ + heartbeat_period_;
 }
 
 void Simulator::emit_heartbeat(SimTime sim_now, std::size_t executed_total,
@@ -178,12 +166,7 @@ std::size_t Simulator::serial_run(SimTime horizon) {
   stopping_.store(false, std::memory_order_relaxed);
   const std::int64_t exec_start_ns = now_.as_nanos();
   const double exec_wall = exec_ != nullptr ? wall_now_seconds() : 0;
-  if (instrumented_) {
-    run_wall_start_ = wall_now_seconds();
-    last_beat_wall_ = run_wall_start_;
-    last_beat_events_ = executed_;
-    if (heartbeat_) next_heartbeat_ = now_ + heartbeat_period_;
-  }
+  if (heartbeat_) begin_heartbeat();
   std::size_t n = 0;
   while (!queue_.empty() && !stopping_.load(std::memory_order_relaxed)) {
     if (queue_.next_time() > horizon) break;

@@ -21,7 +21,7 @@
 //  - set_heartbeat() prints a periodic progress line (sim-time, events/sec,
 //    queue depth) — it schedules nothing, so enabling it cannot change the
 //    event sequence. The serial loop checks it per event; the sharded
-//    backend's coordinator checks it between barrier windows.
+//    backend checks it once per barrier window, in the step that closes it.
 //  - set_exec_profiler() records the runtime's own wall-clock profile
 //    (barrier windows, worker dispatch/drain/wait); see sim/exec_profile.hpp.
 #pragma once
@@ -155,10 +155,7 @@ class Simulator {
 
   /// Attaches (or detaches, with nullptr) an event-loop profiler. Not
   /// owned; must outlive the simulator or be detached first.
-  void set_profiler(LoopProfiler* profiler) noexcept {
-    profiler_ = profiler;
-    instrumented_ = profiler_ != nullptr || static_cast<bool>(heartbeat_);
-  }
+  void set_profiler(LoopProfiler* profiler) noexcept { profiler_ = profiler; }
   LoopProfiler* profiler() const noexcept { return profiler_; }
 
   /// Attaches (or detaches, with nullptr) the cross-shard access auditor.
@@ -207,8 +204,8 @@ class Simulator {
 
   /// Enables a heartbeat every `period` of sim-time; `fn` defaults to a
   /// stderr progress line. A zero period disables. The serial backend
-  /// checks per event; the sharded backend's coordinator checks between
-  /// barrier windows (so beats are at window granularity there).
+  /// checks per event; the sharded backend checks in the step that closes
+  /// each barrier window (so beats are at window granularity there).
   void set_heartbeat(Duration period, HeartbeatFn fn = nullptr);
 
  private:
@@ -217,25 +214,23 @@ class Simulator {
 
   void run_repeating(Duration period, TaskTag tag,
                      const std::shared_ptr<std::function<bool()>>& action);
-  /// Pops and runs the next event: the one dispatch body serial_run and
-  /// serial_step share. The queue must not be empty.
+  /// Pops and runs the next event through dispatch_event(), the body every
+  /// backend shares; serial_run and serial_step both call this. The queue
+  /// must not be empty.
   void dispatch_next() {
     auto ev = queue_.pop();
     now_ = ev.time;
-    if (auditor_ != nullptr) auditor_->begin_event(now_, ev.tag);
-    if (instrumented_) {
-      dispatch_instrumented(ev);
-    } else {
-      ev.action();
-    }
-    if (auditor_ != nullptr) auditor_->end_event();
+    dispatch_event(ev, auditor_, profiler_);
     ++executed_;
+    if (heartbeat_ && now_ >= next_heartbeat_) maybe_heartbeat();
   }
-  void dispatch_instrumented(EventQueue::Popped& ev);
   void maybe_heartbeat();
+  /// Resets the heartbeat's wall-clock and event baselines at run() start.
+  void begin_heartbeat() noexcept;
   /// Shared heartbeat emitter: advances next_heartbeat_ past `sim_now` and
   /// calls the callback once. Used per event by the serial loop and per
-  /// barrier window by the sharded coordinator (via the backend accessors).
+  /// barrier window by the sharded backend's between-window step (via the
+  /// backend accessors).
   void emit_heartbeat(SimTime sim_now, std::size_t executed_total,
                       std::size_t queue_depth);
   // The pre-split dispatch loop, verbatim; SerialBackend forwards here.
@@ -253,7 +248,6 @@ class Simulator {
   std::unique_ptr<ExecutionBackend> backend_;
 
   // --- observability (never consulted by simulation logic) ---
-  bool instrumented_ = false;  ///< profiler_ or heartbeat active
   LoopProfiler* profiler_ = nullptr;
   ShardAuditor* auditor_ = nullptr;
   ExecProfiler* exec_ = nullptr;

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,6 +29,17 @@ namespace {
 ShardedBackend& install_sharded(Simulator& sim, std::size_t shards) {
   sim.set_backend(std::make_unique<ShardedBackend>(sim, shards));
   return dynamic_cast<ShardedBackend&>(sim.backend());
+}
+
+// Threads of this process, or 0 where /proc is not available.
+std::size_t thread_count() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end; !ec && it != end;
+       it.increment(ec)) {
+    ++n;
+  }
+  return n;
 }
 
 // One owner's execution log: (time ns, label). Each owner's log is only
@@ -263,6 +276,69 @@ TEST(ShardedBackend, ControlOnlyRoundRunsOnCoordinator) {
   EXPECT_EQ(order[1], "owner@7000000");
 }
 
+TEST(ShardedBackend, ControlOnlyRunOpensNoWindow) {
+  // With no owner work the between-window step never publishes a window, so
+  // run() executes the control queue on its own thread and starts no worker.
+  Simulator sim(1);
+  ShardedBackend& sb = install_sharded(sim, 4);
+  sim.register_owner(1);
+  sim.register_owner(2);
+  sim.register_lookahead(1, 2, Duration::millis(1));
+  std::vector<std::int64_t> fired;
+  bool on_caller = true;
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int i = 1; i <= 3; ++i) {
+    sim.schedule(Duration::millis(i), TaskTag{"test", "control"}, [&] {
+      fired.push_back(sim.now().as_nanos());
+      on_caller = on_caller && std::this_thread::get_id() == caller;
+    });
+  }
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(sb.windows_run(), 0u);
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{1'000'000, 2'000'000, 3'000'000}));
+  EXPECT_TRUE(on_caller);
+  EXPECT_EQ(sim.now(), SimTime::millis(3));
+}
+
+TEST(ShardedBackend, ControlErrorAfterWindowsSurfacesFromRun) {
+  // A control event that throws runs inside the barrier's completion step,
+  // which must not throw: the step keeps the error, ends the run, and run()
+  // rethrows it once every worker has joined.
+  for (std::size_t k : {1u, 2u, 4u}) {
+    Simulator sim(3);
+    ShardedBackend& sb = install_sharded(sim, k);
+    for (ShardId o = 1; o <= 4; ++o) sim.register_owner(o);
+    sim.register_lookahead(1, 2, Duration::millis(1));
+    std::vector<int> ran(5, 0);  // slot o is written only by owner o's worker
+    int late = 0;
+    for (ShardId o = 1; o <= 4; ++o) {
+      for (int i = 1; i <= 3; ++i) {
+        sim.schedule_for(o, Duration::millis(i), TaskTag{"test", "owner"},
+                         [&ran, o] { ++ran[o]; });
+      }
+    }
+    sim.schedule(Duration::micros(3500), TaskTag{"test", "boom"},
+                 [] { throw std::runtime_error("control event failed"); });
+    sim.schedule_for(1, Duration::millis(5), TaskTag{"test", "late"}, [&late] { ++late; });
+
+    const std::size_t threads = thread_count();
+    try {
+      sim.run();
+      ADD_FAILURE() << "no throw at k=" << k;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "control event failed") << "k=" << k;
+    }
+    EXPECT_EQ(thread_count(), threads) << "k=" << k;
+    EXPECT_GE(sb.windows_run(), 1u) << "k=" << k;
+    for (ShardId o = 1; o <= 4; ++o) EXPECT_EQ(ran[o], 3) << "k=" << k << " owner " << o;
+    EXPECT_EQ(late, 0) << "k=" << k;
+
+    // The backend is reusable: the next run picks up after the failed event.
+    EXPECT_EQ(sim.run(), 1u) << "k=" << k;
+    EXPECT_EQ(late, 1) << "k=" << k;
+  }
+}
+
 TEST(ShardedBackend, ControlRunsBeforeSameTimeOwnerEvents) {
   Simulator sim(1);
   install_sharded(sim, 2);
@@ -424,9 +500,9 @@ TEST(ShardedBackend, NetworkDeliveryMatchesAcrossShardCounts) {
 }
 
 TEST(ShardedBackend, HeartbeatTicksBetweenWindows) {
-  // Heartbeats work under sharding: the coordinator checks between barrier
-  // windows (workers parked at barrier A), so beats land on window
-  // boundaries, monotonically, with event counts that end at the true
+  // Heartbeats work under sharding: the step that closes each barrier
+  // window checks it (every worker parked in the barrier), so beats land on
+  // window boundaries, monotonically, with event counts that end at the true
   // total. Progress lines at window granularity beat no progress at all on
   // long sharded runs.
   Simulator sim(5);
