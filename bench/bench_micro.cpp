@@ -82,6 +82,36 @@ void BM_PolicyEval(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyEval);
 
+// A transit firewall's whole per-packet verdict, as Node::run_filters calls
+// it: bind the packet's context, evaluate the six-rule policy, decide. The
+// packets mix permits, denies and the default so no single rule dominates.
+void BM_PacketFilter(benchmark::State& state) {
+  policy::PolicySet ps(policy::standard_packet_ontology(), policy::Effect::kPermit);
+  ps.add("permit-control", policy::Effect::kPermit, "proto == 'control'", "application");
+  ps.add("deny-p2p", policy::Effect::kDeny, "proto == 'p2p'", "application");
+  ps.add("deny-dns-big", policy::Effect::kDeny, "proto == 'dns' and size > 512", "application");
+  ps.add("cap-premium", policy::Effect::kDeny, "tos == 'premium' and size > 1000", "qos");
+  ps.add("deny-opaque-small", policy::Effect::kDeny, "opaque and size < 128", "security");
+  ps.add("block-src", policy::Effect::kDeny, "src_as in [3, 7]", "identity");
+  const net::PacketFilter f = policy::make_packet_filter("transit-fw", true, std::move(ps));
+  std::vector<net::Packet> packets(64);
+  sim::Rng rng(6);
+  for (net::Packet& p : packets) {
+    p.src.provider = static_cast<net::AsId>(rng.uniform_int(1, 12));
+    p.dst.provider = static_cast<net::AsId>(rng.uniform_int(1, 12));
+    p.proto = static_cast<net::AppProto>(rng.uniform_int(0, 7));
+    p.tos = static_cast<net::ServiceClass>(rng.uniform_int(0, 2));
+    p.size_bytes = static_cast<std::uint32_t>(rng.uniform_int(40, 1500));
+    p.encrypted = rng.bernoulli(0.2);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.fn(packets[i++ % packets.size()]));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PacketFilter);
+
 void BM_PolicyCompile(benchmark::State& state) {
   auto onto = policy::standard_packet_ontology();
   for (auto _ : state) {

@@ -244,7 +244,7 @@ core::SweepResult Harness::scenario(const core::ScenarioSpec& spec, const Render
   opts.exec = exec_requested_;
   // Trace/span collection assumes the serial backend's single dispatch
   // thread and forces the sharded backend off; --heartbeat does not (the
-  // sharded coordinator ticks it between barrier windows).
+  // last worker to reach a window's closing barrier ticks it).
   opts.shards = parallel_.run_shards(shards_blocked_);
 
   core::SweepResult result = core::run_sweep(spec, opts);
@@ -311,7 +311,7 @@ int run(int argc, char** argv, const Experiment& exp,
   // The global tracer and the heartbeat's stderr stream are shared sinks;
   // concurrent runs would interleave their writes, so either forces
   // --jobs 1. Only trace/span collection additionally forces the serial
-  // *backend* — the sharded coordinator ticks the heartbeat itself.
+  // *backend* — the sharded backend ticks the heartbeat between windows.
   h.serial_required_ = !flags->trace_path.empty() || flags->heartbeat_seconds > 0;
   h.shards_blocked_ = !flags->trace_path.empty() || h.spans_requested_;
   if (h.parallel_.shards > 0 && h.shards_blocked_) {

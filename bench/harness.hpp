@@ -16,8 +16,8 @@
 //                       = serial). Auto --jobs drops to 1 under --shards so
 //                       the two parallelism axes do not multiply; --trace
 //                       and the span flags force the serial backend.
-//                       --heartbeat works under --shards: the coordinator
-//                       reports per-window progress between barriers.
+//                       --heartbeat works under --shards: the last worker
+//                       at a window's barrier reports per-window progress.
 //   --json <path>       write metrics + wall time + event totals + hotspots
 //                       as one JSON object (the BENCH_*.json trajectory)
 //   --trace <path>      stream flow/decision trace events as JSONL

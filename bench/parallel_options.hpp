@@ -62,8 +62,8 @@ struct ParallelOptions {
   /// instrumentation (trace or span collection, which assume the serial
   /// backend's single dispatch thread) is active: that forces 0 (serial
   /// backend); otherwise the resolved shards value. Heartbeats do NOT
-  /// block sharding — the sharded coordinator ticks them between barrier
-  /// windows (they still force --jobs 1 via sweep_jobs, a shared stderr
+  /// block sharding — the last worker to reach a window's closing barrier
+  /// ticks them (they still force --jobs 1 via sweep_jobs, a shared stderr
   /// stream).
   std::size_t run_shards(bool serial_only_instrumentation) const noexcept;
 };

@@ -195,7 +195,7 @@ void Node::receive(Packet p) {
                          "net.node", "drop", {"reason", "filter:" + decision.reason},
                          {"uid", p.uid}, {"flow", p.flow}, {"node", id_},
                          {"disclosed", decided_by_disclosed});
-      span_node_drop(sp, now, p, id_, "filter:" + decision.reason);
+      if (sp != nullptr) span_node_drop(sp, now, p, id_, "filter:" + decision.reason);
       // §VI-A "design what happens then": a *disclosed* control point
       // reports the failure to the sender; an undisclosed one is silent
       // loss, which is exactly what makes covert controls hard to debug.

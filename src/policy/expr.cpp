@@ -1,9 +1,10 @@
 #include "policy/expr.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <functional>
 #include <set>
+#include <string_view>
 
 namespace tussle::policy {
 
@@ -121,7 +122,15 @@ class Lexer {
       ++end;
     }
     t.text = src_.substr(i_, end - i_);
-    t.number = std::stod(t.text);
+    std::size_t used = 0;
+    try {
+      t.number = std::stod(t.text, &used);
+    } catch (const std::out_of_range&) {
+      throw ParseError("number out of range at offset " + std::to_string(t.pos));
+    }
+    if (used != t.text.size()) {
+      throw ParseError("malformed number '" + t.text + "' at offset " + std::to_string(t.pos));
+    }
     i_ = end;
     return t;
   }
@@ -184,12 +193,14 @@ struct Expr::Node {
     kDiv,
   };
   Op op = Op::kLiteral;
+  ValueType type = ValueType::kBool;
+  std::uint32_t slot = 0;   // for kAttr: where a Context binds it
+  std::uint32_t depth = 1;  // of the subtree rooted here
   Value literal;
-  std::string attr;
+  std::string attr;         // for kAttr: the name (errors, analysis)
   std::vector<Value> list;  // for kIn
   std::shared_ptr<const Node> lhs;
   std::shared_ptr<const Node> rhs;
-  ValueType type = ValueType::kBool;
 };
 
 namespace {
@@ -197,6 +208,10 @@ namespace {
 using Node = Expr::Node;
 using Op = Node::Op;
 using NodePtr = std::shared_ptr<const Node>;
+
+// Evaluation and the parser both recurse, so both are bounded: an AST may
+// be at most this deep, and parentheses and "not" may nest at most this far.
+constexpr std::size_t kMaxDepth = 256;
 
 class Parser {
  public:
@@ -225,6 +240,32 @@ class Parser {
     return true;
   }
 
+  /// Records an open parenthesis or "not" for the nesting bound.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.nesting_ > kMaxDepth) {
+        throw ParseError("expression nests deeper than " + std::to_string(kMaxDepth) +
+                         " levels at offset " + std::to_string(p_.cur_.pos));
+      }
+    }
+    ~Nest() { --p_.nesting_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
+  /// Sets an operator node's depth from its operands, within kMaxDepth.
+  static NodePtr seal(std::shared_ptr<Node> n) {
+    n->depth = 1 + std::max(n->lhs ? n->lhs->depth : 0u, n->rhs ? n->rhs->depth : 0u);
+    if (n->depth > kMaxDepth) {
+      throw ParseError("expression deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    return n;
+  }
+
   void expect(Tok k, const char* what) {
     if (!accept(k)) {
       throw ParseError(std::string("expected ") + what + " at offset " +
@@ -241,7 +282,7 @@ class Parser {
     n->lhs = std::move(l);
     n->rhs = std::move(r);
     n->type = ValueType::kBool;
-    return n;
+    return seal(std::move(n));
   }
 
   NodePtr parse_or() {
@@ -258,13 +299,14 @@ class Parser {
 
   NodePtr parse_unary() {
     if (accept_kw("not")) {
+      const Nest nest(*this);
       NodePtr operand = parse_unary();
       if (operand->type != ValueType::kBool) throw TypeError("'not' requires a bool operand");
       auto n = std::make_shared<Node>();
       n->op = Op::kNot;
       n->lhs = std::move(operand);
       n->type = ValueType::kBool;
-      return n;
+      return seal(std::move(n));
     }
     return parse_cmp();
   }
@@ -304,7 +346,7 @@ class Parser {
     n->lhs = std::move(l);
     n->rhs = std::move(r);
     n->type = ValueType::kBool;
-    return n;
+    return seal(std::move(n));
   }
 
   NodePtr parse_in(NodePtr l) {
@@ -321,7 +363,7 @@ class Parser {
     } while (accept(Tok::kComma));
     expect(Tok::kRBracket, "']'");
     n->lhs = std::move(l);
-    return n;
+    return seal(std::move(n));
   }
 
   Value parse_literal_value() {
@@ -382,11 +424,12 @@ class Parser {
     n->lhs = std::move(l);
     n->rhs = std::move(r);
     n->type = ValueType::kNumber;
-    return n;
+    return seal(std::move(n));
   }
 
   NodePtr parse_atom() {
     if (accept(Tok::kLParen)) {
+      const Nest nest(*this);
       NodePtr e = parse_or();
       expect(Tok::kRParen, "')'");
       return e;
@@ -401,13 +444,15 @@ class Parser {
     }
     if (cur_.kind == Tok::kIdent) {
       // Here the ontology does its bounding work.
-      if (!onto_.defines(cur_.text)) {
+      const std::size_t slot = onto_.find(cur_.text);
+      if (slot == Ontology::kNoSlot) {
         throw OntologyError("attribute not in ontology: " + cur_.text);
       }
       auto n = std::make_shared<Node>();
       n->op = Op::kAttr;
       n->attr = cur_.text;
-      n->type = onto_.type_of(cur_.text);
+      n->slot = static_cast<std::uint32_t>(slot);
+      n->type = onto_.type_at(slot);
       advance();
       return n;
     }
@@ -417,18 +462,29 @@ class Parser {
   Lexer lexer_;
   const Ontology& onto_;
   Token cur_;
+  std::size_t nesting_ = 0;
 };
 
-Value eval_node(const Node& n, const Context& ctx) {
+// What a node evaluates to. Strings are views into the Context's slots or
+// the AST's literals, so evaluation copies no string.
+using Ref = std::variant<bool, double, std::string_view>;
+
+Ref ref_of(const Value& v) noexcept {
+  switch (v.index()) {
+    case 0: return std::get<bool>(v);
+    case 1: return std::get<double>(v);
+    default: return std::string_view(std::get<std::string>(v));
+  }
+}
+
+Ref eval_node(const Node& n, const Context& ctx) {
   switch (n.op) {
-    case Op::kLiteral: return n.literal;
-    case Op::kAttr: {
-      const Value& v = ctx.get(n.attr);
-      if (type_of(v) != n.type) {
-        throw TypeError("attribute " + n.attr + " bound to wrong type at eval time");
-      }
-      return v;
-    }
+    case Op::kLiteral: return ref_of(n.literal);
+    case Op::kAttr:
+      // Binding type-checked the slot, and the caller matched fingerprints,
+      // so the slot holds a value of the declared type.
+      if (!ctx.bound(n.slot)) throw OntologyError("attribute not bound: " + n.attr);
+      return ref_of(ctx.at(n.slot));
     case Op::kNot: return !std::get<bool>(eval_node(*n.lhs, ctx));
     case Op::kAnd:
       // Short-circuit: policies often guard expensive attributes.
@@ -443,16 +499,14 @@ Value eval_node(const Node& n, const Context& ctx) {
     case Op::kLe:
     case Op::kGt:
     case Op::kGe: {
-      const Value a = eval_node(*n.lhs, ctx);
-      const Value b = eval_node(*n.rhs, ctx);
+      const Ref a = eval_node(*n.lhs, ctx);
+      const Ref b = eval_node(*n.rhs, ctx);
       int c;
       if (a.index() == 1) {
         const double x = std::get<double>(a), y = std::get<double>(b);
         c = (x < y) ? -1 : (x > y ? 1 : 0);
       } else {
-        const auto& x = std::get<std::string>(a);
-        const auto& y = std::get<std::string>(b);
-        c = x.compare(y);
+        c = std::get<std::string_view>(a).compare(std::get<std::string_view>(b));
       }
       switch (n.op) {
         case Op::kLt: return c < 0;
@@ -462,9 +516,9 @@ Value eval_node(const Node& n, const Context& ctx) {
       }
     }
     case Op::kIn: {
-      const Value subject = eval_node(*n.lhs, ctx);
+      const Ref subject = eval_node(*n.lhs, ctx);
       for (const Value& v : n.list) {
-        if (v == subject) return true;
+        if (ref_of(v) == subject) return true;
       }
       return false;
     }
@@ -500,14 +554,30 @@ void collect_attrs(const Node& n, std::set<std::string>& out) {
 Expr Expr::compile(const std::string& source, const Ontology& onto) {
   Parser p(source, onto);
   std::shared_ptr<const Node> root = p.parse();
-  return Expr(root, root->type, source);
+  return Expr(root, root->type, source, onto.fingerprint());
 }
 
-Value Expr::eval(const Context& ctx) const { return eval_node(*root_, ctx); }
+void Expr::check_binding(const Context& ctx) const {
+  if (ctx.fingerprint() != fingerprint_) {
+    throw OntologyError("context is bound to a different ontology than '" + source_ +
+                        "' was compiled against");
+  }
+}
+
+Value Expr::eval(const Context& ctx) const {
+  check_binding(ctx);
+  const Ref r = eval_node(*root_, ctx);
+  switch (r.index()) {
+    case 0: return std::get<bool>(r);
+    case 1: return std::get<double>(r);
+    default: return std::string(std::get<std::string_view>(r));
+  }
+}
 
 bool Expr::test(const Context& ctx) const {
   if (type_ != ValueType::kBool) throw TypeError("test() on non-bool expression");
-  return std::get<bool>(eval(ctx));
+  check_binding(ctx);
+  return std::get<bool>(eval_node(*root_, ctx));
 }
 
 std::vector<std::string> Expr::referenced_attributes() const {

@@ -16,11 +16,13 @@
 //   atom   := "(" expr ")" | number | string | "true" | "false" | ident
 //   list   := "[" literal ("," literal)* "]"
 //
-// Compilation checks every identifier against an Ontology and type-checks
-// operators, so malformed policy fails at install time, not on the fast
-// path.
+// Compilation checks every identifier against an Ontology, resolves it to
+// the ontology's slot and type-checks operators, so malformed policy fails at
+// install time, not on the fast path. Evaluation reads Context slots and
+// copies no strings.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +39,8 @@ class Expr {
   static Expr compile(const std::string& source, const Ontology& onto);
 
   /// Evaluates against a context; result type matches the checked type.
+  /// Throws OntologyError when `ctx` is bound to an ontology with another
+  /// fingerprint, or when an attribute the evaluation reads is unbound.
   Value eval(const Context& ctx) const;
 
   /// Convenience for predicate use: evaluates and requires a bool result.
@@ -52,12 +56,15 @@ class Expr {
   struct Node;  // AST; opaque to clients
 
  private:
-  Expr(std::shared_ptr<const Node> root, ValueType t, std::string src)
-      : root_(std::move(root)), type_(t), source_(std::move(src)) {}
+  Expr(std::shared_ptr<const Node> root, ValueType t, std::string src, std::uint64_t fp)
+      : root_(std::move(root)), type_(t), source_(std::move(src)), fingerprint_(fp) {}
+
+  void check_binding(const Context& ctx) const;
 
   std::shared_ptr<const Node> root_;
   ValueType type_;
   std::string source_;
+  std::uint64_t fingerprint_ = 0;  ///< of the ontology the slots came from
 };
 
 }  // namespace tussle::policy

@@ -13,6 +13,13 @@ std::string to_string(Effect e) {
   return "?";
 }
 
+PolicySet::PolicySet(Ontology ontology, Effect default_effect)
+    : onto_(std::move(ontology)), default_(default_effect) {
+  if (default_effect == Effect::kRedirect) {
+    throw PolicyError("default effect cannot be redirect: a redirect needs a target");
+  }
+}
+
 PolicySet& PolicySet::add(const std::string& name, Effect effect, const std::string& when,
                           const std::string& tussle_space,
                           const std::string& redirect_target) {
@@ -36,12 +43,11 @@ bool PolicySet::remove(const std::string& name) {
 }
 
 Decision PolicySet::evaluate(const Context& ctx) const {
-  for (const Rule& r : rules_) {
-    if (r.when.test(ctx)) {
-      return Decision{r.effect, r.name, r.redirect_target};
-    }
+  for (std::size_t i = 0; i < rules_.size(); ++i) {
+    const Rule& r = rules_[i];
+    if (r.when.test(ctx)) return Decision{r.effect, r.name, r.redirect_target, i};
   }
-  return Decision{default_, {}, {}};
+  return Decision{default_, {}, {}, Decision::kDefaultRule};
 }
 
 std::vector<Coupling> PolicySet::cross_space_couplings() const {

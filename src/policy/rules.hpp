@@ -7,8 +7,9 @@
 // that couple attributes from different tussle spaces.
 #pragma once
 
-#include <optional>
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "policy/expr.hpp"
@@ -29,10 +30,15 @@ struct Rule {
   std::string tussle_space;
 };
 
+/// The outcome of PolicySet::evaluate. The views point into the set's own
+/// rules: they stay valid until the set is modified or destroyed.
 struct Decision {
+  static constexpr std::size_t kDefaultRule = static_cast<std::size_t>(-1);
+
   Effect effect = Effect::kPermit;
-  std::string rule_name;  ///< empty when the default applied
-  std::string redirect_target;
+  std::string_view rule_name;  ///< empty when the default applied
+  std::string_view redirect_target;
+  std::size_t rule = kDefaultRule;  ///< index into PolicySet::rules()
 };
 
 /// Report row from the modularity analysis: a rule that reads attributes
@@ -46,8 +52,9 @@ struct Coupling {
 
 class PolicySet {
  public:
-  PolicySet(Ontology ontology, Effect default_effect)
-      : onto_(std::move(ontology)), default_(default_effect) {}
+  /// Throws PolicyError for a kRedirect default: a redirect needs a target,
+  /// and only rules carry one.
+  PolicySet(Ontology ontology, Effect default_effect);
 
   const Ontology& ontology() const noexcept { return onto_; }
   Effect default_effect() const noexcept { return default_; }
@@ -59,7 +66,9 @@ class PolicySet {
   bool remove(const std::string& name);
   const std::vector<Rule>& rules() const noexcept { return rules_; }
 
-  /// First-match evaluation; falls back to the default effect.
+  /// First-match evaluation; falls back to the default effect. `ctx` must be
+  /// bound to an ontology with this set's fingerprint: a rule evaluated
+  /// against any other context throws OntologyError.
   Decision evaluate(const Context& ctx) const;
 
   /// Every cross-space attribute reference — empty means the rule set is

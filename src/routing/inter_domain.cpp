@@ -30,8 +30,8 @@ std::size_t install_path_vector_routes(net::Network& net, const InterDomainNet& 
                                        const PathVector& pv) {
   // Installing a converged RIB touches every router's FIB at once. Declare
   // the touch as barrier-phase control work: a no-op during setup, and the
-  // contract that lets a mid-run reconvergence run as a control event on
-  // the sharded backend's coordinator (with all shards quiescent) instead
+  // contract that lets a mid-run reconvergence run as a control event at a
+  // sharded window's closing barrier (with every worker parked) instead
   // of tripping the cross-shard mutation check.
   if (sim::ShardAuditor* au = net.auditor()) {
     au->declare_control_event("routing.install-path-vector");

@@ -22,6 +22,14 @@ TEST(PacketAdapter, ContextCarriesObservableFields) {
   EXPECT_DOUBLE_EQ(std::get<double>(c.get("src_as")), 1.0);
   EXPECT_DOUBLE_EQ(std::get<double>(c.get("dst_host")), 9.0);
   EXPECT_FALSE(std::get<bool>(c.get("opaque")));
+  // Every slot holds its own field (the packet's values are distinct).
+  EXPECT_TRUE(std::get<bool>(c.get("payload_visible")));
+  EXPECT_FALSE(std::get<bool>(c.get("encrypted")));
+  EXPECT_EQ(std::get<std::string>(c.get("tos")), "best-effort");
+  EXPECT_DOUBLE_EQ(std::get<double>(c.get("dst_as")), 2.0);
+  EXPECT_DOUBLE_EQ(std::get<double>(c.get("src_host")), 5.0);
+  EXPECT_DOUBLE_EQ(std::get<double>(c.get("ttl")), 64.0);
+  EXPECT_FALSE(std::get<bool>(c.get("has_source_route")));
 }
 
 TEST(PacketAdapter, EncryptionCollapsesProtoInContext) {
@@ -88,6 +96,15 @@ TEST(PacketAdapter, EncryptedTrafficEvadesAppPolicyButNotOpacityPolicy) {
   auto d = f.fn(packet(net::AppProto::kP2p, /*encrypted=*/true));
   EXPECT_EQ(d.action, net::FilterAction::kDrop);
   EXPECT_EQ(d.reason, "isp:no-hiding");  // not the p2p rule
+}
+
+TEST(PacketAdapter, StandardOntologyFingerprintIsStable) {
+  // Policies compile against their own copy of the ontology; packet contexts
+  // bind another. The content fingerprint is what lets them meet.
+  EXPECT_EQ(standard_packet_ontology().fingerprint(), standard_packet_ontology().fingerprint());
+  Context c = context_for_packet(packet(net::AppProto::kWeb));
+  EXPECT_EQ(c.fingerprint(), standard_packet_ontology().fingerprint());
+  for (std::size_t s = 0; s < standard_packet_ontology().size(); ++s) EXPECT_TRUE(c.bound(s)) << s;
 }
 
 TEST(PacketAdapter, StandardOntologyTagsSpaces) {

@@ -5,17 +5,21 @@
 namespace tussle::policy {
 namespace {
 
-Ontology onto() {
-  Ontology o;
-  o.declare("proto", ValueType::kString);
-  o.declare("size", ValueType::kNumber);
-  o.declare("encrypted", ValueType::kBool);
-  o.declare("src_as", ValueType::kNumber);
+// A Context binds its ontology by reference, so the ontology outlives them.
+const Ontology& onto() {
+  static const Ontology o = [] {
+    Ontology d;
+    d.declare("proto", ValueType::kString);
+    d.declare("size", ValueType::kNumber);
+    d.declare("encrypted", ValueType::kBool);
+    d.declare("src_as", ValueType::kNumber);
+    return d;
+  }();
   return o;
 }
 
 Context ctx() {
-  Context c;
+  Context c(onto());
   c.set("proto", "web");
   c.set("size", 1200.0);
   c.set("encrypted", false);
@@ -107,18 +111,83 @@ TEST(Expr, DivisionByZeroAtEvalTime) {
 
 TEST(Expr, MissingAttributeAtEvalTime) {
   auto e = Expr::compile("size > 0", onto());
-  Context empty;
+  Context empty(onto());
   EXPECT_THROW(e.test(empty), OntologyError);
 }
 
 TEST(Expr, ShortCircuitSkipsMissingAttribute) {
   // 'and' must not evaluate its right side when the left is false.
   auto e = Expr::compile("encrypted and size > 0", onto());
-  Context c;
+  Context c(onto());
   c.set("encrypted", false);  // size unbound
   EXPECT_FALSE(e.test(c));
   auto e2 = Expr::compile("not encrypted or size > 0", onto());
   EXPECT_TRUE(e2.test(c));
+}
+
+TEST(Expr, BindingUndeclaredAttributeIsOntologyError) {
+  Context c(onto());
+  EXPECT_THROW(c.set("port_number", 80.0), OntologyError);
+  EXPECT_FALSE(c.has("port_number"));
+}
+
+TEST(Expr, BindingWrongTypeIsTypeError) {
+  // Types are checked when a value is bound, before any expression runs.
+  Context c(onto());
+  EXPECT_THROW(c.set("size", "big"), TypeError);
+  EXPECT_THROW(c.set("proto", 7.0), TypeError);
+  EXPECT_THROW(c.set("encrypted", 1.0), TypeError);
+  EXPECT_FALSE(c.has("size"));
+  c.set("size", 10.0);
+  EXPECT_TRUE(c.has("size"));
+}
+
+TEST(Expr, ContextOfAnotherOntologyIsOntologyError) {
+  // Same names, other order: every slot would be misread, so evaluation
+  // refuses the context instead.
+  Ontology other;
+  other.declare("size", ValueType::kNumber);
+  other.declare("proto", ValueType::kString);
+  other.declare("encrypted", ValueType::kBool);
+  other.declare("src_as", ValueType::kNumber);
+  Context c(other);
+  c.set("size", 1200.0).set("proto", "web").set("encrypted", false).set("src_as", 7.0);
+  auto e = Expr::compile("size > 1000", onto());
+  EXPECT_THROW(e.test(c), OntologyError);
+  EXPECT_THROW(e.eval(c), OntologyError);
+  EXPECT_THROW(Expr::compile("true", onto()).test(c), OntologyError);
+}
+
+TEST(Expr, EqualDeclarationsShareFingerprint) {
+  // An ontology declared with the same (name, type) sequence binds the same
+  // slots, so its contexts evaluate expressions compiled against the other.
+  Ontology twin;
+  twin.declare("proto", ValueType::kString, "application");
+  twin.declare("size", ValueType::kNumber);
+  twin.declare("encrypted", ValueType::kBool);
+  twin.declare("src_as", ValueType::kNumber);
+  EXPECT_EQ(twin.fingerprint(), onto().fingerprint());
+  Context c(twin);
+  c.set("size", 1200.0);
+  EXPECT_TRUE(Expr::compile("size > 1000", onto()).test(c));
+  twin.declare("size", ValueType::kString);  // redeclared: same slot, new type
+  EXPECT_EQ(twin.size(), 4u);
+  EXPECT_NE(twin.fingerprint(), onto().fingerprint());
+}
+
+TEST(Expr, OntologyCapacityIsContextCapacity) {
+  // A Context holds one inline slot per attribute, so an ontology stops at
+  // that many declarations instead of handing out an unaddressable slot.
+  Ontology o;
+  for (std::size_t i = 0; i < Ontology::kMaxAttributes; ++i) {
+    o.declare("a" + std::to_string(i), ValueType::kNumber);
+  }
+  EXPECT_THROW(o.declare("one_more", ValueType::kNumber), PolicyError);
+  o.declare("a0", ValueType::kBool);  // re-declaring takes no new slot
+  const std::string last = "a" + std::to_string(Ontology::kMaxAttributes - 1);
+  Context c(o);
+  c.set(last, 2.0);
+  EXPECT_TRUE(Expr::compile(last + " == 2", o).test(c));
 }
 
 TEST(Expr, ReferencedAttributesSortedUnique) {
@@ -160,7 +229,7 @@ TEST_P(ConnectiveTruth, AndOrNotMatchCpp) {
   Ontology o;
   o.declare("a", ValueType::kBool);
   o.declare("b", ValueType::kBool);
-  Context c;
+  Context c(o);
   c.set("a", a);
   c.set("b", b);
   EXPECT_EQ(Expr::compile("a and b", o).test(c), a && b);

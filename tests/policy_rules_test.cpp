@@ -5,17 +5,21 @@
 namespace tussle::policy {
 namespace {
 
-Ontology onto() {
-  Ontology o;
-  o.declare("proto", ValueType::kString, "application");
-  o.declare("tos", ValueType::kString, "qos");
-  o.declare("size", ValueType::kNumber, "economics");
-  o.declare("encrypted", ValueType::kBool, "security");
+// A Context binds its ontology by reference, so the ontology outlives them.
+const Ontology& onto() {
+  static const Ontology o = [] {
+    Ontology d;
+    d.declare("proto", ValueType::kString, "application");
+    d.declare("tos", ValueType::kString, "qos");
+    d.declare("size", ValueType::kNumber, "economics");
+    d.declare("encrypted", ValueType::kBool, "security");
+    return d;
+  }();
   return o;
 }
 
 Context web_ctx() {
-  Context c;
+  Context c(onto());
   c.set("proto", "web");
   c.set("tos", "best-effort");
   c.set("size", 500.0);
@@ -59,6 +63,17 @@ TEST(PolicySet, RedirectCarriesTarget) {
 TEST(PolicySet, RedirectWithoutTargetRejected) {
   PolicySet ps(onto(), Effect::kPermit);
   EXPECT_THROW(ps.add("bad", Effect::kRedirect, "true"), PolicyError);
+  EXPECT_THROW(PolicySet(onto(), Effect::kRedirect), PolicyError);  // a default has no target
+}
+
+TEST(PolicySet, DecisionViewsPointIntoRules) {
+  PolicySet ps(onto(), Effect::kPermit);
+  ps.add("capture-web", Effect::kRedirect, "proto == 'web'", "application", "isp-proxy");
+  const Decision d = ps.evaluate(web_ctx());
+  EXPECT_EQ(d.rule, 0u);
+  EXPECT_EQ(d.rule_name.data(), ps.rules()[0].name.data());
+  EXPECT_EQ(d.redirect_target.data(), ps.rules()[0].redirect_target.data());
+  EXPECT_EQ(PolicySet(onto(), Effect::kDeny).evaluate(web_ctx()).rule, Decision::kDefaultRule);
 }
 
 TEST(PolicySet, NonBooleanConditionRejected) {

@@ -174,7 +174,7 @@ TEST_P(PolicyFuzz, GeneratedExpressionsCompileAndEvaluate) {
   onto.declare("ttl", policy::ValueType::kNumber);
   onto.declare("encrypted", policy::ValueType::kBool);
   onto.declare("proto", policy::ValueType::kString);
-  policy::Context ctx;
+  policy::Context ctx(onto);
   ctx.set("size", 700.0);
   ctx.set("ttl", 64.0);
   ctx.set("encrypted", false);

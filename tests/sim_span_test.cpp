@@ -410,6 +410,35 @@ TEST(SpanIntegration, DetachedTracerRecordsNothing) {
   EXPECT_EQ(t.ledger.log()[0].span, kNoSpan);
 }
 
+TEST(SpanIntegration, FilterDropSpanCarriesReason) {
+  // The drop reason is built only for an attached tracer; attached, it must
+  // still name the filter's verdict.
+  for (const bool traced : {true, false}) {
+    SpanTracer spans;
+    TracedTriangle t(traced ? &spans : nullptr);
+    t.net.node(t.r).add_filter({"fw", /*disclosed=*/false, [](const Packet& p) {
+                                  return p.proto == net::AppProto::kWeb
+                                             ? net::FilterDecision::drop("fw:no-web")
+                                             : net::FilterDecision::accept();
+                                }});
+    t.send_web(1);
+    t.sim.run();
+    EXPECT_EQ(t.net.counters().dropped_filter.value(), 1);
+    const Span* drop = nullptr;
+    for (const Span& s : spans.spans()) {
+      if (s.component == "net.node" && s.name == "drop") drop = &s;
+    }
+    if (!traced) {
+      EXPECT_TRUE(spans.empty());
+      continue;
+    }
+    ASSERT_NE(drop, nullptr);
+    ASSERT_FALSE(drop->attrs.empty());
+    EXPECT_EQ(drop->attrs[0].key, "reason");
+    EXPECT_EQ(std::get<std::string>(drop->attrs[0].value), "filter:fw:no-web");
+  }
+}
+
 /// The sweep-level determinism contract: a replicated scenario exported at
 /// --jobs 1 and --jobs 8 must produce byte-identical Chrome traces, because
 /// per-run tracers merge in run-index order whatever the schedule was.
