@@ -147,6 +147,22 @@ void BM_PathVectorConvergence(benchmark::State& state) {
 }
 BENCHMARK(BM_PathVectorConvergence)->Arg(20)->Arg(80);
 
+// Partial origin-validation rollout: a stub hijacks another stub's prefix
+// while half the ASes validate origins (two origins, one compute).
+void BM_HijackPartial(benchmark::State& state) {
+  sim::Rng rng(2);
+  auto h = routing::make_hierarchy(rng, 3, 10, static_cast<std::size_t>(state.range(0)));
+  std::vector<routing::AsId> validators;
+  const auto all = h.graph.ases();
+  for (std::size_t i = 0; i < all.size(); i += 2) validators.push_back(all[i]);
+  for (auto _ : state) {
+    auto r = routing::simulate_hijack_partial(h.graph, h.stubs.front(), h.stubs.back(),
+                                              validators);
+    benchmark::DoNotOptimize(r.captured);
+  }
+}
+BENCHMARK(BM_HijackPartial)->Arg(20)->Arg(80);
+
 void BM_MarketPeriod(benchmark::State& state) {
   sim::Rng rng(3);
   econ::MarketConfig cfg;

@@ -19,26 +19,27 @@ FictitiousPlay::FictitiousPlay(std::vector<std::vector<double>> my_payoff)
     : payoff_(std::move(my_payoff)) {
   if (payoff_.empty() || payoff_[0].empty()) throw std::invalid_argument("empty payoff");
   counts_.assign(payoff_[0].size(), 0.0);
+  values_.assign(payoff_.size(), 0.0);
 }
 
 std::size_t FictitiousPlay::choose(sim::Rng& rng) {
   double total = 0;
   for (double c : counts_) total += c;
-  std::vector<double> values(payoff_.size(), 0.0);
+  std::fill(values_.begin(), values_.end(), 0.0);
   if (total == 0) {
     // No history: uniform prior over opponent actions.
     for (std::size_t i = 0; i < payoff_.size(); ++i) {
-      for (double x : payoff_[i]) values[i] += x;
+      for (double x : payoff_[i]) values_[i] += x;
     }
   } else {
     for (std::size_t i = 0; i < payoff_.size(); ++i) {
       for (std::size_t j = 0; j < counts_.size(); ++j) {
-        values[i] += counts_[j] / total * payoff_[i][j];
+        values_[i] += counts_[j] / total * payoff_[i][j];
       }
     }
   }
   (void)rng;
-  return argmax(values);
+  return argmax(values_);
 }
 
 void FictitiousPlay::observe(std::size_t opponent_action, double) {
@@ -61,20 +62,20 @@ RegretMatching::RegretMatching(std::vector<std::vector<double>> my_payoff)
   if (payoff_.empty() || payoff_[0].empty()) throw std::invalid_argument("empty payoff");
   cum_regret_.assign(payoff_.size(), 0.0);
   cum_action_payoff_.assign(payoff_.size(), 0.0);
+  pos_.assign(payoff_.size(), 0.0);
 }
 
 std::size_t RegretMatching::choose(sim::Rng& rng) {
-  std::vector<double> pos(cum_regret_.size());
   double total = 0;
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    pos[i] = std::max(0.0, cum_regret_[i]);
-    total += pos[i];
+  for (std::size_t i = 0; i < pos_.size(); ++i) {
+    pos_[i] = std::max(0.0, cum_regret_[i]);
+    total += pos_[i];
   }
   if (total <= 0) {
     last_action_ =
-        static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(pos.size()) - 1));
+        static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(pos_.size()) - 1));
   } else {
-    last_action_ = rng.weighted_pick(pos);
+    last_action_ = rng.weighted_pick(pos_);
   }
   return last_action_;
 }
@@ -132,6 +133,7 @@ void EpsilonGreedy::observe(std::size_t, double payoff) {
 MyopicBestResponse::MyopicBestResponse(std::vector<std::vector<double>> my_payoff)
     : payoff_(std::move(my_payoff)) {
   if (payoff_.empty() || payoff_[0].empty()) throw std::invalid_argument("empty payoff");
+  values_.assign(payoff_.size(), 0.0);
 }
 
 std::size_t MyopicBestResponse::choose(sim::Rng& rng) {
@@ -139,9 +141,8 @@ std::size_t MyopicBestResponse::choose(sim::Rng& rng) {
     return static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(payoff_.size()) - 1));
   }
-  std::vector<double> values(payoff_.size());
-  for (std::size_t i = 0; i < payoff_.size(); ++i) values[i] = payoff_[i][opp_last_];
-  return argmax(values);
+  for (std::size_t i = 0; i < payoff_.size(); ++i) values_[i] = payoff_[i][opp_last_];
+  return argmax(values_);
 }
 
 void MyopicBestResponse::observe(std::size_t opponent_action, double) {

@@ -45,6 +45,7 @@ class FictitiousPlay final : public Learner {
  private:
   std::vector<std::vector<double>> payoff_;
   std::vector<double> counts_;
+  std::vector<double> values_;  ///< choose() scratch: expected payoff per action
 };
 
 /// Regret matching (Hart & Mas-Colell): play actions with probability
@@ -66,6 +67,7 @@ class RegretMatching final : public Learner {
   double cum_payoff_ = 0;
   std::size_t rounds_ = 0;
   std::vector<double> cum_action_payoff_;  ///< payoff had I always played a
+  std::vector<double> pos_;                ///< choose() scratch: positive regrets
 };
 
 /// Epsilon-greedy satisficer: tracks average payoff per action, usually
@@ -94,6 +96,7 @@ class MyopicBestResponse final : public Learner {
 
  private:
   std::vector<std::vector<double>> payoff_;
+  std::vector<double> values_;  ///< choose() scratch: payoff per action
   std::size_t opp_last_ = 0;
   bool seen_ = false;
 };

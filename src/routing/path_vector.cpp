@@ -1,6 +1,8 @@
 #include "routing/path_vector.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 
@@ -36,14 +38,46 @@ PathVector::Policy PathVector::Policy::shortest_path() {
 
 namespace {
 
-/// Is candidate (pref, path) better than incumbent? Ties broken by shorter
-/// path, then lower next-hop id (deterministic, like BGP's tie-breakers).
-bool better(int pref_a, const std::vector<AsId>& path_a, int pref_b,
-            const std::vector<AsId>& path_b) {
+/// An AS's entry in one round's dense RIB. Its path lives in the round's
+/// path arena at [off, off + len), self first; len == 0 means no route.
+struct Slot {
+  std::uint32_t off = 0;
+  std::uint32_t len = 0;
+  int pref = 0;
+  std::uint32_t next = 0;        ///< next-hop index
+  Rel learned = Rel::kCustomer;  ///< what the next hop is to this AS
+};
+
+/// One synchronous round's RIB. Two of these are swapped after every round,
+/// so the arena keeps its capacity and a round does no heap allocation once
+/// it has grown to the longest total path length seen.
+struct Rib {
+  std::vector<Slot> slots;
+  std::vector<AsId> paths;
+  const AsId* path(const Slot& s) const noexcept { return paths.data() + s.off; }
+};
+
+/// A neighbour in the per-compute CSR adjacency: its dense index and what it
+/// is to the AS whose row this is.
+struct Edge {
+  std::uint32_t nbr = 0;
+  Rel rel = Rel::kCustomer;
+};
+
+constexpr std::uint8_t kOrigin = 1;
+constexpr std::uint8_t kValidates = 2;
+constexpr std::uint32_t kNoIndex = std::numeric_limits<std::uint32_t>::max();
+
+/// Is candidate (pref, path length, neighbour) better than the incumbent?
+/// Ties go to the shorter path, then the lower next hop (deterministic, like
+/// BGP's tie-breakers). A candidate path is [self] + the neighbour's path,
+/// which starts at that neighbour, so ordering two equal-length candidates
+/// lexicographically orders their neighbours, and indices follow AsId order.
+bool better(int pref_a, std::uint32_t len_a, std::uint32_t nbr_a, int pref_b,
+            std::uint32_t len_b, std::uint32_t nbr_b) {
   if (pref_a != pref_b) return pref_a > pref_b;
-  if (path_a.size() != path_b.size()) return path_a.size() < path_b.size();
-  // Compare next-hop (second element; both paths start at self).
-  return path_a < path_b;
+  if (len_a != len_b) return len_a < len_b;
+  return nbr_a < nbr_b;
 }
 
 }  // namespace
@@ -76,97 +110,135 @@ PathVector::Outcome PathVector::compute_with_origins(const std::vector<AsId>& cl
                        {"validators", static_cast<std::int64_t>(validators.size())}});
   }
   Outcome out;
-  std::map<AsId, AsRoute> rib;
-  auto is_origin = [&](AsId a) {
-    return std::find(claimed_origins.begin(), claimed_origins.end(), a) !=
-           claimed_origins.end();
+  // Dense indexing: an AS's index is its position in the sorted ases()
+  // order, so AsIds need not be dense and index order is AsId order.
+  const std::vector<AsId> all = graph_->ases();
+  const auto n = static_cast<std::uint32_t>(all.size());
+  auto index_of = [&all](AsId a) {
+    const auto it = std::lower_bound(all.begin(), all.end(), a);
+    return it != all.end() && *it == a ? static_cast<std::uint32_t>(it - all.begin())
+                                       : kNoIndex;
   };
+  std::vector<std::uint8_t> flags(n, 0);
+  bool any_origin = false;
   for (AsId dest : claimed_origins) {
-    if (!graph_->contains(dest)) continue;
-    AsRoute self;
-    self.as_path = {dest};
-    self.next_hop = dest;
-    self.local_pref = 1 << 20;  // own route beats anything learned
-    rib[dest] = self;
+    const std::uint32_t i = index_of(dest);
+    if (i == kNoIndex) continue;
+    flags[i] |= kOrigin;
+    any_origin = true;
   }
-  if (rib.empty()) return out;
+  if (!any_origin) return out;
 
-  const auto all = graph_->ases();
+  std::vector<std::uint32_t> first(n + 1, 0);
+  std::vector<Edge> edges;
+  edges.reserve(2 * graph_->edge_count());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    first[i] = static_cast<std::uint32_t>(edges.size());
+    for (const auto& [nbr, rel] : graph_->neighbors(all[i])) edges.push_back({index_of(nbr), rel});
+    if (std::binary_search(validators.begin(), validators.end(), all[i])) flags[i] |= kValidates;
+  }
+  first[n] = static_cast<std::uint32_t>(edges.size());
+
+  Rib rib;
+  Rib next;
+  rib.slots.resize(n);
+  next.slots.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if ((flags[i] & kOrigin) == 0) continue;
+    // Own route beats anything learned; own routes export like customer ones.
+    rib.slots[i] = {static_cast<std::uint32_t>(rib.paths.size()), 1, 1 << 20, i, Rel::kCustomer};
+    rib.paths.push_back(all[i]);
+  }
+  std::vector<AsId> candidate;  // [self] + neighbour path, for Policy::local_pref
+
   for (int round = 1; round <= max_rounds; ++round) {
     bool changed = false;
     // Synchronous rounds: decisions in round r see the RIB of round r-1,
     // which keeps the computation deterministic and order-independent.
-    std::map<AsId, AsRoute> next = rib;
-    for (AsId self_as : all) {
-      if (is_origin(self_as)) continue;
-      const bool validates =
-          std::binary_search(validators.begin(), validators.end(), self_as);
-      AsRoute best;  // invalid
-      bool have = false;
-      for (const auto& [nbr, rel] : graph_->neighbors(self_as)) {
-        auto it = rib.find(nbr);
-        if (it == rib.end() || !it->second.valid()) continue;
-        const AsRoute& nbr_route = it->second;
+    next.paths.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const Slot& was = rib.slots[i];
+      Slot& now = next.slots[i];
+      const AsId self_as = all[i];
+      if ((flags[i] & kOrigin) != 0) {
+        now = was;
+        now.off = static_cast<std::uint32_t>(next.paths.size());
+        next.paths.push_back(self_as);
+        continue;
+      }
+      std::uint32_t best = kNoIndex;
+      int best_pref = 0;
+      Rel best_rel = Rel::kCustomer;
+      for (std::uint32_t e = first[i]; e < first[i + 1]; ++e) {
+        const auto [nb, rel] = edges[e];
+        const Slot& nbr_route = rib.slots[nb];
+        if (nbr_route.len == 0) continue;
+        const AsId nbr = all[nb];
+        const AsId* path = rib.path(nbr_route);
+        const AsId* path_end = path + nbr_route.len;
         // Would the neighbor export this route to me? From the neighbor's
         // point of view I am reverse(rel).
-        const Rel me_to_nbr = reverse(rel);
-        Rel nbr_learned_from;
-        if (is_origin(nbr)) {
-          nbr_learned_from = Rel::kCustomer;  // own routes export like customer routes
-        } else {
-          auto r = graph_->relationship(nbr, nbr_route.next_hop);
-          if (!r) continue;
-          nbr_learned_from = *r;
-        }
-        if (!is_origin(nbr) && !policy_.export_ok(nbr, nbr_learned_from, me_to_nbr)) continue;
-        // Loop prevention: reject paths containing self.
-        if (std::find(nbr_route.as_path.begin(), nbr_route.as_path.end(), self_as) !=
-            nbr_route.as_path.end()) {
+        if ((flags[nb] & kOrigin) == 0 &&
+            !policy_.export_ok(nbr, nbr_route.learned, reverse(rel))) {
           continue;
         }
+        // Loop prevention: reject paths containing self.
+        if (std::find(path, path_end, self_as) != path_end) continue;
         // Origin validation (RPKI analogue): ASes that deployed it discard
         // routes terminating at an AS not authorized for the prefix.
-        if (validates && nbr_route.as_path.back() != legitimate_origin) {
+        if ((flags[i] & kValidates) != 0 && path_end[-1] != legitimate_origin) {
           TUSSLE_TRACE_EVENT(sim::Tracer::global(), sim::SimTime::zero(),
                              sim::TraceLevel::kDebug, "routing.bgp", "origin-invalid",
-                             {"as", self_as}, {"from", nbr},
-                             {"claimed_origin", nbr_route.as_path.back()});
+                             {"as", self_as}, {"from", nbr}, {"claimed_origin", path_end[-1]});
           if (spans_ != nullptr) {
             spans_->instant("routing.bgp", "origin-invalid",
-                            {{"as", self_as}, {"from", nbr},
-                             {"claimed_origin", nbr_route.as_path.back()}});
+                            {{"as", self_as}, {"from", nbr}, {"claimed_origin", path_end[-1]}});
           }
           continue;
         }
-        std::vector<AsId> path;
-        path.reserve(nbr_route.as_path.size() + 1);
-        path.push_back(self_as);
-        path.insert(path.end(), nbr_route.as_path.begin(), nbr_route.as_path.end());
-        const int pref = policy_.local_pref(self_as, rel, path);
-        if (!have || better(pref, path, best.local_pref, best.as_path)) {
-          best.as_path = std::move(path);
-          best.next_hop = nbr;
-          best.local_pref = pref;
-          have = true;
+        candidate.clear();
+        candidate.push_back(self_as);
+        candidate.insert(candidate.end(), path, path_end);
+        const int pref = policy_.local_pref(self_as, rel, candidate);
+        if (best == kNoIndex ||
+            better(pref, nbr_route.len, nb, best_pref, rib.slots[best].len, best)) {
+          best = nb;
+          best_pref = pref;
+          best_rel = rel;
         }
       }
-      const AsRoute& cur = rib.count(self_as) ? rib.at(self_as) : AsRoute{};
-      if (have) {
-        if (!cur.valid() || cur.as_path != best.as_path) changed = true;
-        next[self_as] = best;
-      } else if (cur.valid()) {
-        next.erase(self_as);
-        changed = true;
+      if (best == kNoIndex) {
+        changed = changed || was.len != 0;
+        now.len = 0;
+        continue;
+      }
+      // The winning path is written once: [self] + the next hop's path.
+      const Slot& via = rib.slots[best];
+      now = {static_cast<std::uint32_t>(next.paths.size()), via.len + 1, best_pref, best,
+             best_rel};
+      next.paths.push_back(self_as);
+      next.paths.insert(next.paths.end(), rib.path(via), rib.path(via) + via.len);
+      if (!changed) {
+        const AsId* p = next.path(now);
+        changed = was.len != now.len || !std::equal(p, p + now.len, rib.path(was));
       }
     }
-    rib = std::move(next);
+    std::swap(rib, next);
     out.rounds = round;
     if (!changed) {
       out.converged = true;
       break;
     }
   }
-  out.routes = std::move(rib);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Slot& s = rib.slots[i];
+    if (s.len == 0) continue;
+    AsRoute r;
+    r.as_path.assign(rib.path(s), rib.path(s) + s.len);
+    r.next_hop = all[s.next];
+    r.local_pref = s.pref;
+    out.routes.emplace_hint(out.routes.end(), all[i], std::move(r));
+  }
   if (decide) {
     decide->annotate({"converged", out.converged});
     decide->annotate({"rounds", static_cast<std::int64_t>(out.rounds)});

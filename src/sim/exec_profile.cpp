@@ -456,7 +456,7 @@ std::string exec_chrome_trace(const ExecProfiler& ep) {
     ++pid;
     name_meta(w, pid, 0, "process_name",
               "run " + std::to_string(pid) + " (" + r.backend + ")");
-    name_meta(w, pid, 0, "thread_name", "coordinator");
+    name_meta(w, pid, 0, "thread_name", "window close");
     for (std::size_t i = 0; i < r.workers; ++i) {
       name_meta(w, pid, static_cast<std::int64_t>(i) + 1, "thread_name",
                 "worker " + std::to_string(i));

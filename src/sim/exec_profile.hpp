@@ -230,9 +230,9 @@ class ExecProfiler {
 };
 
 /// Chrome trace-event JSON: one process per run, one track per worker plus
-/// a "coordinator" track for the between-window step's window/control/fold
-/// slices; wall-time "X" slices throughout (capped at
-/// ExecProfiler::kMaxSliceWindows per run).
+/// a "window close" track for the between-window step's window/control/fold
+/// slices (the last worker at the closing barrier runs that step); wall-time
+/// "X" slices throughout (capped at ExecProfiler::kMaxSliceWindows per run).
 std::string exec_chrome_trace(const ExecProfiler& ep);
 
 /// Self-contained zero-JS HTML dashboard: stat tiles, worker timeline

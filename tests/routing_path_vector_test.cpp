@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "routing_bad_gadget.hpp"
+
 namespace tussle::routing {
 namespace {
 
@@ -104,28 +106,8 @@ TEST(PathVector, UnknownDestinationYieldsNothing) {
 TEST(PathVector, BadGadgetDoesNotConverge) {
   // Classic dispute wheel: 1,2,3 around hub 0, each preferring the
   // counterclockwise neighbor's route over its direct route.
-  AsGraph g;
-  g.add_peering(0, 1);
-  g.add_peering(0, 2);
-  g.add_peering(0, 3);
-  g.add_peering(1, 2);
-  g.add_peering(2, 3);
-  g.add_peering(3, 1);
-  PathVector::Policy policy;
-  policy.export_ok = [](AsId, Rel, Rel) { return true; };
-  policy.local_pref = [](AsId self, Rel, const std::vector<AsId>& path) {
-    // Prefer the 2-hop path through the next spoke (1 prefers via 2,
-    // 2 prefers via 3, 3 prefers via 1) over the direct path.
-    if (path.size() == 3) {
-      const AsId via = path[1];
-      if ((self == 1 && via == 2) || (self == 2 && via == 3) || (self == 3 && via == 1)) {
-        return 500;
-      }
-    }
-    if (path.size() == 2) return 100;  // direct
-    return 10;
-  };
-  PathVector pv(g, policy);
+  const AsGraph g = fixtures::bad_gadget_graph();
+  PathVector pv(g, fixtures::bad_gadget_policy());
   auto out = pv.compute(0, 64);
   EXPECT_FALSE(out.converged);
   EXPECT_EQ(out.rounds, 64);

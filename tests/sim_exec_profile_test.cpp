@@ -91,7 +91,7 @@ TEST(ExecProfiler, WindowAccountingAssemblesLanes) {
   ASSERT_EQ(hist.size(), 1u);
   EXPECT_EQ(hist.at(5), 1u);
 
-  // Worker-drained (1 -> 2) plus coordinator-drained (2 -> control inbox).
+  // Worker-drained (1 -> 2) plus drained into the control inbox (2 -> control).
   const auto vols = ep.volumes();
   ASSERT_EQ(vols.size(), 2u);
   EXPECT_EQ(vols.at({1, 2}).events, 4u);
@@ -252,12 +252,12 @@ TEST(ExecProfiler, ChromeTraceStructure) {
   ring(2, &ep);  // a real sharded run alongside the synthetic one
   const std::string trace = exec_chrome_trace(ep);
 
-  // Envelope and metadata: one process per run, named coordinator/worker
+  // Envelope and metadata: one process per run, named window-close/worker
   // tracks, wall-time "X" slices for each phase.
   EXPECT_EQ(trace.find("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["), 0u);
   for (const char* needle :
        {"\"ph\":\"M\"", "\"ph\":\"X\"", "\"process_name\"", "\"thread_name\"",
-        "\"coordinator\"", "\"worker 0\"", "\"worker 1\"",
+        "\"window close\"", "\"worker 0\"", "\"worker 1\"",
         "\"name\":\"dispatch\"", "\"name\":\"window\"", "\"name\":\"control\"",
         "run 1 (sharded)", "run 2 (sharded)"}) {
     EXPECT_NE(trace.find(needle), std::string::npos) << needle;
